@@ -9,6 +9,7 @@ use sqlb_types::{
     Utilization, WorkUnits,
 };
 
+use crate::preference_window::PreferenceWindow;
 use crate::utilization::UtilizationWindow;
 
 /// Configuration of a provider agent.
@@ -65,18 +66,22 @@ struct IntentionMemo {
 ///   matches what the mediator can observe (Figure 4(a));
 /// * a **preference-based** tracker — the private characterization the
 ///   provider uses inside Definition 8 and that Figures 4(b)–(c) report.
+///   Preferences depend on the query class alone, so this tracker is a
+///   class-coded window that stores one byte per remembered query and
+///   replays the exact per-class values (see `preference_window`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProviderAgent {
     id: ProviderId,
     config: ProviderConfig,
     capacity: Capacity,
-    /// Preference per query-class index (`prf_p(q)`).
-    class_preferences: Vec<f64>,
+    /// Preference for the Light and Heavy classes (`prf_p(q)`); custom
+    /// classes are neutral.
+    class_preferences: [f64; 2],
     utilization: UtilizationWindow,
     /// Outstanding (queued but not yet completed) work.
     backlog: f64,
     intention_tracker: ProviderTracker,
-    preference_tracker: ProviderTracker,
+    preference_tracker: PreferenceWindow,
     departed: bool,
     performed_count: u64,
     /// Per-class memo of the last Definition 8 evaluation. A provider's
@@ -91,18 +96,30 @@ pub struct ProviderAgent {
 
 impl ProviderAgent {
     /// Creates a provider with the given capacity and per-class
-    /// preferences (`class_preferences[class.index()]`).
+    /// preferences (`class_preferences[class.index()]`): at most two, for
+    /// the Light and Heavy classes. A missing entry, and every custom
+    /// class, is treated neutrally.
+    ///
+    /// # Panics
+    ///
+    /// Panics when given more than two preferences.
     pub fn new(
         id: ProviderId,
         capacity: Capacity,
         class_preferences: Vec<Preference>,
         config: ProviderConfig,
     ) -> Self {
+        assert!(
+            class_preferences.len() <= 2,
+            "providers hold preferences for the Light and Heavy classes only"
+        );
+        let preference = |i: usize| class_preferences.get(i).map_or(0.0, |p| p.value());
+        let class_preferences = [preference(0), preference(1)];
         ProviderAgent {
             id,
             config,
             capacity,
-            class_preferences: class_preferences.iter().map(|p| p.value()).collect(),
+            class_preferences,
             utilization: UtilizationWindow::new(
                 capacity,
                 SimDuration::from_secs(config.utilization_window_secs),
@@ -113,11 +130,7 @@ impl ProviderAgent {
                 config.performed_memory,
                 config.initial_satisfaction,
             ),
-            preference_tracker: ProviderTracker::new(
-                config.proposed_memory,
-                config.performed_memory,
-                config.initial_satisfaction,
-            ),
+            preference_tracker: PreferenceWindow::new(class_preferences, &config),
             departed: false,
             performed_count: 0,
             intention_memo: [None; 2],
@@ -140,7 +153,7 @@ impl ProviderAgent {
     }
 
     /// The provider's preference for performing queries of the given class
-    /// (`prf_p(q)`). Unknown classes are treated neutrally.
+    /// (`prf_p(q)`). Custom classes are treated neutrally.
     pub fn preference_for(&self, class: QueryClass) -> Preference {
         Preference::new(
             self.class_preferences
@@ -219,9 +232,7 @@ impl ProviderAgent {
     pub fn record_proposal(&mut self, query: &Query, shown_intention: f64, performed: bool) {
         self.intention_tracker
             .record_proposal(Intention::new(shown_intention), performed);
-        let preference = self.preference_for(query.class());
-        self.preference_tracker
-            .record_proposal(Intention::new(preference.value()), performed);
+        self.preference_tracker.record(query.class(), performed);
     }
 
     /// Accepts an allocated query at `now`: the work enters the backlog and
@@ -350,11 +361,7 @@ impl ProviderAgent {
             self.config.performed_memory,
             self.config.initial_satisfaction,
         );
-        self.preference_tracker = ProviderTracker::new(
-            self.config.proposed_memory,
-            self.config.performed_memory,
-            self.config.initial_satisfaction,
-        );
+        self.preference_tracker = PreferenceWindow::new(self.class_preferences, &self.config);
         self.intention_memo = [None; 2];
     }
 }
@@ -362,6 +369,7 @@ impl ProviderAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sqlb_types::{ConsumerId, QueryId};
 
     fn prefs(light: f64, heavy: f64) -> Vec<Preference> {
@@ -532,5 +540,114 @@ mod tests {
         assert_eq!(p.satisfaction(), 0.0);
         assert_eq!(p.smoothed_satisfaction(), 0.5);
         assert!(p.allocation_satisfaction() < 1.0);
+    }
+
+    #[test]
+    fn custom_classes_are_neutral() {
+        let mut p = provider(100.0, 0.9, -0.9);
+        assert_eq!(p.preference_for(QueryClass::Custom(0)).value(), 0.0);
+        for i in 0..4 {
+            p.record_proposal(&query(i, QueryClass::Custom(i as u16)), 0.3, true);
+        }
+        assert_eq!(p.preference_adequation(), 0.5);
+        assert_eq!(p.preference_satisfaction(), 0.5);
+        assert_eq!(p.strict_preference_satisfaction(), 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "Light and Heavy classes only")]
+    fn more_than_two_preferences_are_rejected() {
+        ProviderAgent::new(
+            ProviderId::new(0),
+            Capacity::new(1.0),
+            vec![Preference::new(0.1); 3],
+            ProviderConfig::default(),
+        );
+    }
+
+    /// A preference drawn with the edges of `[-1, 1]` and neutrality
+    /// over-represented.
+    fn preference_value() -> impl Strategy<Value = f64> {
+        (0u8..4, -1.0f64..=1.0).prop_map(|(kind, x)| match kind {
+            0 => -1.0,
+            1 => 1.0,
+            2 => 0.0,
+            _ => x,
+        })
+    }
+
+    /// Bits of the agent's private adequation, satisfaction, strict
+    /// satisfaction and allocation satisfaction.
+    fn preference_readings(agent: &ProviderAgent) -> [u64; 4] {
+        [
+            agent.preference_adequation().to_bits(),
+            agent.preference_satisfaction().to_bits(),
+            agent.strict_preference_satisfaction().to_bits(),
+            agent.preference_allocation_satisfaction().to_bits(),
+        ]
+    }
+
+    /// The same four readings of a tracker.
+    fn tracker_readings(tracker: &ProviderTracker) -> [u64; 4] {
+        [
+            tracker.adequation().to_bits(),
+            tracker.satisfaction().to_bits(),
+            tracker.satisfaction_strict().to_bits(),
+            tracker.allocation_satisfaction().to_bits(),
+        ]
+    }
+
+    fn query_class(code: u8) -> QueryClass {
+        match code {
+            0 => QueryClass::Light,
+            1 => QueryClass::Heavy,
+            tag => QueryClass::Custom(tag as u16),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_preference_window_is_bit_identical_to_a_provider_tracker(
+            light in preference_value(),
+            heavy in preference_value(),
+            k_proposed in 1usize..64,
+            k_performed in 1usize..64,
+            // (class code, performed, reset before this proposal)
+            steps in proptest::collection::vec((0u8..4, proptest::bool::ANY, 0u8..40), 0..400),
+        ) {
+            let config = ProviderConfig {
+                proposed_memory: k_proposed,
+                performed_memory: k_performed,
+                ..ProviderConfig::default()
+            };
+            let fresh_reference = || ProviderTracker::new(k_proposed, k_performed, 0.5);
+            let mut agent = ProviderAgent::new(
+                ProviderId::new(0),
+                Capacity::new(100.0),
+                prefs(light, heavy),
+                config,
+            );
+            let mut reference = fresh_reference();
+            prop_assert_eq!(
+                preference_readings(&agent),
+                tracker_readings(&reference),
+                "before any proposal"
+            );
+            for (step, &(class, performed, reset)) in steps.iter().enumerate() {
+                if reset == 0 {
+                    agent.reset_satisfaction_history();
+                    reference = fresh_reference();
+                }
+                let q = query(step as u32, query_class(class));
+                let preference = agent.preference_for(q.class()).value();
+                agent.record_proposal(&q, 0.0, performed);
+                reference.record_proposal(Intention::new(preference), performed);
+                prop_assert_eq!(
+                    preference_readings(&agent),
+                    tracker_readings(&reference),
+                    "readings at step {}", step
+                );
+            }
+        }
     }
 }

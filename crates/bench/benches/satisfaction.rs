@@ -1,17 +1,22 @@
 //! Micro-benchmarks of the satisfaction model and the system metrics:
-//! tracker updates at the paper's window sizes (k = 200 / 500) and the
-//! Section 4 aggregate metrics over paper-sized participant sets.
+//! tracker updates at the paper's window sizes (k = 200 / 500), the two
+//! halves of the per-query satisfaction bookkeeping at Table 2's 400
+//! candidates (the mediator's trackers and the provider agents' own), and
+//! the Section 4 aggregate metrics over paper-sized participant sets.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sqlb_agents::{ProviderAgent, ProviderConfig};
 use sqlb_core::allocation::CandidateInfo;
 use sqlb_core::mediator_state::MediatorState;
 use sqlb_core::scoring::RankedProvider;
 use sqlb_metrics::{fairness, mean, min_max_ratio, Summary};
 use sqlb_satisfaction::{ConsumerTracker, ProviderTracker};
-use sqlb_types::{ConsumerId, Intention, ProviderId, Query, QueryClass, QueryId, SimTime};
+use sqlb_types::{
+    Capacity, ConsumerId, Intention, Preference, ProviderId, Query, QueryClass, QueryId, SimTime,
+};
 
 fn bench_trackers(c: &mut Criterion) {
     let mut group = c.benchmark_group("trackers");
@@ -75,6 +80,63 @@ fn bench_mediator_state(c: &mut Criterion) {
     group.finish();
 }
 
+/// The agent half of the bookkeeping: every one of a query's 400
+/// candidates records the proposal in its public (intention) and private
+/// (preference) windows. The agents run at Table 2's 500/500 windows and
+/// start with full rings, so every iteration measures steady-state
+/// eviction.
+fn bench_agents(c: &mut Criterion) {
+    const PROVIDERS: u32 = 400;
+    let mut group = c.benchmark_group("agents");
+    group.measurement_time(Duration::from_secs(1));
+    group.sample_size(30);
+    let query = |i: u32| {
+        let class = if i.is_multiple_of(3) {
+            QueryClass::Heavy
+        } else {
+            QueryClass::Light
+        };
+        Query::single(
+            QueryId::new(i),
+            ConsumerId::new(i % 200),
+            class,
+            SimTime::ZERO,
+        )
+    };
+    let shown = |p: u32| 1.0 - (p as f64 / PROVIDERS as f64) * 2.0;
+    let mut providers: Vec<ProviderAgent> = (0..PROVIDERS)
+        .map(|p| {
+            let preference = (p as f64 / PROVIDERS as f64) * 2.0 - 1.0;
+            ProviderAgent::new(
+                ProviderId::new(p),
+                Capacity::new(100.0),
+                vec![Preference::new(preference), Preference::new(-preference)],
+                ProviderConfig::default(),
+            )
+        })
+        .collect();
+    // Fill both windows of every agent: 1 000 proposals, every other one
+    // performed, leave 500 proposals and 500 performed queries behind.
+    for i in 0..1_000u32 {
+        let q = query(i);
+        for (p, agent) in providers.iter_mut().enumerate() {
+            agent.record_proposal(&q, shown(p as u32), i.is_multiple_of(2));
+        }
+    }
+    group.bench_function("record_proposal_400_providers", |b| {
+        let mut i = 0u32;
+        b.iter(|| {
+            let q = query(i);
+            let selected = (i % PROVIDERS) as usize;
+            for (p, agent) in providers.iter_mut().enumerate() {
+                agent.record_proposal(&q, shown(p as u32), p == selected);
+            }
+            i = i.wrapping_add(1);
+        })
+    });
+    group.finish();
+}
+
 fn bench_metrics(c: &mut Criterion) {
     let values: Vec<f64> = (0..400).map(|i| (i as f64 % 97.0) / 97.0).collect();
     let mut group = c.benchmark_group("metrics");
@@ -90,5 +152,11 @@ fn bench_metrics(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_trackers, bench_mediator_state, bench_metrics);
+criterion_group!(
+    benches,
+    bench_trackers,
+    bench_mediator_state,
+    bench_agents,
+    bench_metrics
+);
 criterion_main!(benches);

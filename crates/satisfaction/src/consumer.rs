@@ -3,8 +3,8 @@
 use serde::{Deserialize, Serialize};
 use sqlb_types::Intention;
 
-use crate::allocation_satisfaction;
 use crate::memory::InteractionMemory;
+use crate::{allocation_satisfaction, unit_observation};
 
 /// Per-query consumer adequation `δa(c, q)` (Equation 1): the average of the
 /// consumer's shown intentions towards the whole candidate set `P_q`, mapped
@@ -133,9 +133,12 @@ impl ConsumerTracker {
     /// Records pre-computed per-query adequation and satisfaction values.
     /// Useful when the caller computes Equations 1–2 itself (e.g. from
     /// preference values it does not want to expose).
+    ///
+    /// Values are clamped into `[0, 1]`; a non-finite value is recorded as
+    /// indifference (0.5), as `Intention::new` would map it.
     pub fn record_values(&mut self, adequation: f64, satisfaction: f64) {
-        self.adequations.push(adequation.clamp(0.0, 1.0));
-        self.satisfactions.push(satisfaction.clamp(0.0, 1.0));
+        self.adequations.push(unit_observation(adequation));
+        self.satisfactions.push(unit_observation(satisfaction));
         self.issued += 1;
     }
 
@@ -272,6 +275,21 @@ mod tests {
         t.record_values(7.0, -3.0);
         assert_eq!(t.adequation(), 1.0);
         assert_eq!(t.satisfaction(), 0.0);
+    }
+
+    #[test]
+    fn record_values_maps_non_finite_to_indifference() {
+        let mut t = ConsumerTracker::new(2, 0.5);
+        t.record_values(f64::NAN, f64::INFINITY);
+        assert_eq!(t.adequation(), 0.5);
+        assert_eq!(t.satisfaction(), 0.5);
+        // Once the sanitized entry is evicted the window is exact again
+        // (a NaN in the running sum would have stayed there for good).
+        t.record_values(1.0, 0.0);
+        t.record_values(1.0, 0.0);
+        assert_eq!(t.adequation(), 1.0);
+        assert_eq!(t.satisfaction(), 0.0);
+        assert_eq!(t.allocation_satisfaction(), 0.0);
     }
 
     proptest! {

@@ -53,6 +53,24 @@ pub use consumer::{
 pub use memory::InteractionMemory;
 pub use provider::ProviderTracker;
 
+/// The unit-space value of indifference: `Intention::new` maps a
+/// non-finite input to the neutral intention 0, which `(x + 1)/2` turns
+/// into 0.5. Every window records a non-finite observation as this value,
+/// so one bad input cannot poison a running sum.
+pub(crate) const INDIFFERENCE: f64 = 0.5;
+
+/// Sanitizes a `[0, 1]` observation before it enters a window: finite
+/// values are clamped into the unit interval, non-finite ones become
+/// [`INDIFFERENCE`].
+#[inline]
+pub(crate) fn unit_observation(value: f64) -> f64 {
+    if value.is_finite() {
+        value.clamp(0.0, 1.0)
+    } else {
+        INDIFFERENCE
+    }
+}
+
 /// Computes an allocation satisfaction `δas = δs / δa` (Definitions 3
 /// and 6), handling the degenerate `δa = 0` case.
 ///

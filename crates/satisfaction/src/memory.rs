@@ -41,7 +41,17 @@ impl InteractionMemory {
 
     /// Records an observation, evicting the oldest one if the memory is
     /// full. Returns the evicted observation, if any.
+    ///
+    /// A non-finite observation is recorded as indifference (0.5, the
+    /// unit-space image of `Intention::new`'s neutral value): a NaN in the
+    /// running sum could never be subtracted out again, so every later
+    /// mean would be NaN.
     pub fn push(&mut self, value: f64) -> Option<f64> {
+        let value = if value.is_finite() {
+            value
+        } else {
+            crate::INDIFFERENCE
+        };
         let evicted = if self.values.len() == self.capacity {
             let old = self.values.pop_front();
             if let Some(old) = old {
@@ -78,8 +88,11 @@ impl InteractionMemory {
 
     /// Mean of the remembered observations, or `None` when empty.
     ///
-    /// The running sum is periodically recomputed from scratch to bound
-    /// floating-point drift over very long simulations.
+    /// The mean divides the running sum, which is maintained incrementally
+    /// (add on push, subtract on eviction) and never recomputed on its
+    /// own: recomputing on a schedule would change the low bits of every
+    /// later mean. [`InteractionMemory::rebalance`] recomputes it on
+    /// request.
     pub fn mean(&self) -> Option<f64> {
         if self.values.is_empty() {
             None
@@ -106,8 +119,10 @@ impl InteractionMemory {
         self.sum = 0.0;
     }
 
-    /// Recomputes the running sum from the stored values. Called internally
-    /// on a schedule; exposed for tests.
+    /// Recomputes the running sum from the stored values, discarding the
+    /// floating-point drift accumulated by incremental updates. Nothing in
+    /// the allocation pipeline calls it: calling it there would change the
+    /// low bits of later means and with them every report digest.
     pub fn rebalance(&mut self) {
         self.sum = self.values.iter().sum();
     }
@@ -179,6 +194,23 @@ mod tests {
         m.rebalance();
         let after = m.mean().unwrap();
         assert!((before - after).abs() < 1e-9);
+    }
+
+    #[test]
+    fn non_finite_observation_does_not_poison_the_window() {
+        let mut m = InteractionMemory::new(2);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            m.push(bad);
+            assert_eq!(m.mean(), Some(0.5), "{bad} is recorded as indifference");
+        }
+        // Evicting the sanitized entries leaves a finite, exact sum.
+        m.push(1.0);
+        assert_eq!(m.mean(), Some(0.75));
+        m.push(0.0);
+        assert_eq!(m.mean(), Some(0.5));
+        m.push(1.0);
+        m.push(1.0);
+        assert_eq!(m.mean(), Some(1.0));
     }
 
     proptest! {

@@ -3,8 +3,8 @@
 use serde::{Deserialize, Serialize};
 use sqlb_types::Intention;
 
-use crate::allocation_satisfaction;
 use crate::memory::InteractionMemory;
+use crate::{allocation_satisfaction, unit_observation};
 
 /// Tracks a provider's characteristics.
 ///
@@ -27,25 +27,27 @@ use crate::memory::InteractionMemory;
 /// against utilization).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProviderTracker {
-    /// Shown values with a performed flag for every proposed query
-    /// (performed or not), bounded by the proposed window. One ring
-    /// buffer backs both Definition 4 (adequation, through the running
-    /// `proposed_sum`) and the strict Definition 5 variant — recording a
-    /// proposal used to maintain a second, value-only window with the
-    /// same contents, which doubled the deque traffic on the allocation
-    /// hot path (three tracker updates per candidate per query). Once
-    /// full the vector becomes a ring: `proposed_head` is the oldest
-    /// entry, and eviction overwrites in place.
-    proposed_flags: Vec<(f64, bool)>,
-    /// Index of the oldest entry once `proposed_flags` is at capacity
-    /// (0 while still filling, so insertion order equals slice order).
+    /// Shown values of every proposed query (performed or not), bounded
+    /// by the proposed window, with the performed flag packed into the
+    /// sign bit: a slot holds `v` for a rejected proposal and `-v` for a
+    /// performed one. Stored values are `[+0, 1]` (clamped, `-0.0`
+    /// normalised to `+0.0`), so the sign is free and `abs()` recovers
+    /// the value exactly: a slot is half the size of an `(f64, bool)`
+    /// pair, which keeps the per-candidate update in cache.
+    /// One ring backs both Definition 4 (adequation, through the running
+    /// `proposed_sum`) and the strict Definition 5 variant. Once full the
+    /// vector becomes a ring: `proposed_head` is the oldest entry, and
+    /// eviction overwrites in place.
+    proposed: Vec<f64>,
+    /// Index of the oldest entry once `proposed` is at capacity (0 while
+    /// still filling, so insertion order equals slice order).
     proposed_head: usize,
-    /// Window bound of `proposed_flags` (eviction keys on this, not on
-    /// the vector's allocation, which grows lazily with the fill).
+    /// Window bound of `proposed` (eviction keys on this, not on the
+    /// vector's allocation, which grows lazily with the fill).
     proposed_capacity: usize,
-    /// Running sum of the values in `proposed_flags`, maintained with the
-    /// same subtract-then-add order the dedicated memory used, so
-    /// adequation stays bit-identical.
+    /// Running sum of the values in `proposed`, maintained with the
+    /// subtract-then-add order of a plain evict-and-push memory, so
+    /// adequation stays bit-identical to it.
     proposed_sum: f64,
     /// Shown values for performed queries only (Table 2 semantics).
     performed: InteractionMemory,
@@ -64,7 +66,7 @@ impl ProviderTracker {
             // Grows with the actual fill, like the interaction memory:
             // eviction keys on `proposed_capacity`, so starting
             // unallocated changes nothing but the idle footprint.
-            proposed_flags: Vec::new(),
+            proposed: Vec::new(),
             proposed_head: 0,
             proposed_capacity: k_proposed,
             proposed_sum: 0.0,
@@ -95,22 +97,28 @@ impl ProviderTracker {
 
     /// Records a proposal with an already-mapped `[0, 1]` value. Used when
     /// the caller applies its own mapping (e.g. preference-based private
-    /// tracking).
+    /// tracking). The value is clamped into `[0, 1]`; a non-finite value
+    /// is recorded as indifference (0.5), as `Intention::new` would map it.
     pub fn record_mapped(&mut self, mapped: f64, performed: bool) {
-        let mapped = mapped.clamp(0.0, 1.0);
-        if self.proposed_flags.len() == self.proposed_capacity {
+        // `+ 0.0` turns a `-0.0` into `+0.0` (and changes no other value),
+        // so the sign bit of a stored slot is exactly the performed flag.
+        // Sums start at `+0.0` and only ever add `[+0, 1]` values or
+        // subtract stored ones, so they never see the difference.
+        let mapped = unit_observation(mapped) + 0.0;
+        let packed = if performed { -mapped } else { mapped };
+        if self.proposed.len() == self.proposed_capacity {
             // Steady state: overwrite the oldest entry in place. Same
-            // subtract-then-add order as the evict-and-push it replaces,
-            // so adequation stays bit-identical.
-            let slot = &mut self.proposed_flags[self.proposed_head];
-            self.proposed_sum -= slot.0;
-            *slot = (mapped, performed);
+            // subtract-then-add order as an evict-and-push, so adequation
+            // stays bit-identical.
+            let slot = &mut self.proposed[self.proposed_head];
+            self.proposed_sum -= slot.abs();
+            *slot = packed;
             self.proposed_head += 1;
             if self.proposed_head == self.proposed_capacity {
                 self.proposed_head = 0;
             }
         } else {
-            self.proposed_flags.push((mapped, performed));
+            self.proposed.push(packed);
         }
         self.proposed_sum += mapped;
         self.proposed_total += 1;
@@ -124,10 +132,10 @@ impl ProviderTracker {
     /// initial value until the provider has been proposed at least one
     /// query.
     pub fn adequation(&self) -> f64 {
-        if self.proposed_flags.is_empty() {
+        if self.proposed.is_empty() {
             self.initial
         } else {
-            self.proposed_sum / self.proposed_flags.len() as f64
+            self.proposed_sum / self.proposed.len() as f64
         }
     }
 
@@ -149,20 +157,20 @@ impl ProviderTracker {
     /// weight in Equation 6, which is what "reduces starvation" in the
     /// paper's words.
     pub fn satisfaction_strict(&self) -> f64 {
-        if self.proposed_flags.is_empty() {
+        if self.proposed.is_empty() {
             return self.initial;
         }
         // One pass over the window, no intermediate vector: the additions
         // happen oldest-first ([head..] then [..head], which is insertion
-        // order while filling since head stays 0), the same order as a
-        // filter-then-sum, so the result is bit-identical while the
-        // (sample- and assessment-path) callers stop allocating per read.
-        let (wrapped, oldest) = self.proposed_flags.split_at(self.proposed_head);
+        // order while filling since head stays 0), starting from `+0.0`,
+        // so the (sample- and assessment-path) callers do not allocate
+        // per read.
+        let (wrapped, oldest) = self.proposed.split_at(self.proposed_head);
         let mut sum = 0.0;
         let mut count = 0usize;
-        for &(v, performed) in oldest.iter().chain(wrapped) {
-            if performed {
-                sum += v;
+        for &slot in oldest.iter().chain(wrapped) {
+            if slot.is_sign_negative() {
+                sum += slot.abs();
                 count += 1;
             }
         }
@@ -191,7 +199,7 @@ impl ProviderTracker {
 
     /// Number of proposals currently remembered.
     pub fn proposal_window_len(&self) -> usize {
-        self.proposed_flags.len()
+        self.proposed.len()
     }
 
     /// Number of performed queries currently remembered.
@@ -209,6 +217,7 @@ impl ProviderTracker {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn reports_initial_before_observations() {
@@ -287,7 +296,156 @@ mod tests {
         assert_eq!(t.adequation(), 0.5);
     }
 
+    #[test]
+    fn non_finite_value_does_not_poison_the_windows() {
+        let mut t = ProviderTracker::new(2, 2, 0.5);
+        t.record_mapped(f64::NAN, true);
+        t.record_mapped(f64::INFINITY, false);
+        assert_eq!(t.adequation(), 0.5);
+        assert_eq!(t.satisfaction(), 0.5);
+        assert_eq!(t.satisfaction_strict(), 0.5);
+        // Push both sanitized entries out of both windows: the running
+        // sums are exact again (a NaN would have stayed in them for good).
+        for _ in 0..2 {
+            t.record_mapped(1.0, true);
+        }
+        assert_eq!(t.adequation(), 1.0);
+        assert_eq!(t.satisfaction(), 1.0);
+        assert_eq!(t.satisfaction_strict(), 1.0);
+    }
+
+    #[test]
+    fn negative_zero_is_not_read_back_as_performed() {
+        let mut t = ProviderTracker::new(4, 4, 0.5);
+        t.record_mapped(-0.0, false);
+        t.record_mapped(0.25, true);
+        // Only the second proposal was performed.
+        assert_eq!(t.satisfaction_strict(), 0.25);
+        assert_eq!(t.adequation(), 0.125);
+        assert_eq!(t.adequation().to_bits(), 0.125f64.to_bits());
+    }
+
+    /// The tracker as it was before the sign-packed ring: a plain deque of
+    /// `(value, performed)` pairs with the same running-sum discipline.
+    struct ReferenceTracker {
+        proposed: VecDeque<(f64, bool)>,
+        proposed_capacity: usize,
+        proposed_sum: f64,
+        performed: VecDeque<f64>,
+        performed_capacity: usize,
+        performed_sum: f64,
+        initial: f64,
+    }
+
+    impl ReferenceTracker {
+        fn new(k_proposed: usize, k_performed: usize, initial: f64) -> Self {
+            ReferenceTracker {
+                proposed: VecDeque::new(),
+                proposed_capacity: k_proposed,
+                proposed_sum: 0.0,
+                performed: VecDeque::new(),
+                performed_capacity: k_performed,
+                performed_sum: 0.0,
+                initial,
+            }
+        }
+
+        fn record_mapped(&mut self, mapped: f64, performed: bool) {
+            let mapped = mapped.clamp(0.0, 1.0);
+            if self.proposed.len() == self.proposed_capacity {
+                let (old, _) = self.proposed.pop_front().unwrap();
+                self.proposed_sum -= old;
+            }
+            self.proposed.push_back((mapped, performed));
+            self.proposed_sum += mapped;
+            if performed {
+                if self.performed.len() == self.performed_capacity {
+                    self.performed_sum -= self.performed.pop_front().unwrap();
+                }
+                self.performed.push_back(mapped);
+                self.performed_sum += mapped;
+            }
+        }
+
+        fn adequation(&self) -> f64 {
+            if self.proposed.is_empty() {
+                self.initial
+            } else {
+                self.proposed_sum / self.proposed.len() as f64
+            }
+        }
+
+        fn satisfaction(&self) -> f64 {
+            if self.performed.is_empty() {
+                self.initial
+            } else {
+                self.performed_sum / self.performed.len() as f64
+            }
+        }
+
+        fn satisfaction_strict(&self) -> f64 {
+            if self.proposed.is_empty() {
+                return self.initial;
+            }
+            let performed: Vec<f64> = self
+                .proposed
+                .iter()
+                .filter(|(_, p)| *p)
+                .map(|(v, _)| *v)
+                .collect();
+            if performed.is_empty() {
+                0.0
+            } else {
+                // An explicit `+0.0` start, as the tracker's loop has:
+                // `Iterator::sum` starts from `-0.0` instead.
+                performed.iter().fold(0.0, |sum, v| sum + v) / performed.len() as f64
+            }
+        }
+    }
+
+    /// Shown values with the edge cases the sign packing must survive.
+    fn shown_value() -> impl Strategy<Value = f64> {
+        (0u8..5, -2.0f64..=2.0).prop_map(|(kind, x)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            3 => x.abs() / 2.0,
+            _ => x,
+        })
+    }
+
     proptest! {
+        #[test]
+        fn prop_sign_packed_ring_is_bit_identical_to_pair_deque(
+            k_proposed in 1usize..64,
+            k_performed in 1usize..64,
+            entries in proptest::collection::vec((shown_value(), proptest::bool::ANY), 0..400),
+        ) {
+            let mut packed = ProviderTracker::new(k_proposed, k_performed, 0.5);
+            let mut reference = ReferenceTracker::new(k_proposed, k_performed, 0.5);
+            for (step, &(v, performed)) in entries.iter().enumerate() {
+                packed.record_mapped(v, performed);
+                reference.record_mapped(v, performed);
+                prop_assert_eq!(
+                    packed.adequation().to_bits(),
+                    reference.adequation().to_bits(),
+                    "adequation at step {}", step
+                );
+                prop_assert_eq!(
+                    packed.satisfaction().to_bits(),
+                    reference.satisfaction().to_bits(),
+                    "satisfaction at step {}", step
+                );
+                prop_assert_eq!(
+                    packed.satisfaction_strict().to_bits(),
+                    reference.satisfaction_strict().to_bits(),
+                    "strict satisfaction at step {}", step
+                );
+            }
+            prop_assert_eq!(packed.proposal_window_len(), reference.proposed.len());
+            prop_assert_eq!(packed.performed_window_len(), reference.performed.len());
+        }
+
         #[test]
         fn prop_outputs_in_unit_interval(
             entries in proptest::collection::vec((-1.0f64..=1.0, proptest::bool::ANY), 0..200),
