@@ -2,14 +2,13 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use sqlb_core::intention::{consumer_intention, IntentionParams};
 use sqlb_reputation::ReputationStore;
 use sqlb_satisfaction::{consumer_query_outcome, ConsumerTracker};
 use sqlb_types::{ConsumerId, Preference, ProviderId, Query};
 
 /// Configuration of a consumer agent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsumerConfig {
     /// The preference/reputation balance `υ` of Definition 7. The paper's
     /// evaluation uses `υ = 1` ("the consumers' intentions denote their
@@ -44,7 +43,7 @@ impl Default for ConsumerConfig {
 /// provider)` hashed through splitmix64 into the provider's
 /// interest-class range, so it is stable across reads and deterministic
 /// per seed while costing O(1) memory per consumer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum PreferenceTable {
     /// Materialized values, one per provider
     /// (`values[p.index()] = prf_c(·, p)`).
@@ -65,7 +64,7 @@ enum PreferenceTable {
 /// and tracks its own adequation/satisfaction/allocation-satisfaction over
 /// the `k` last queries it issued — the values on which its departure
 /// decision is based.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConsumerAgent {
     id: ConsumerId,
     config: ConsumerConfig,

@@ -16,11 +16,10 @@
 //! strict Definition 5, intention-based values for providers, mirroring the
 //! quantities the model makes observable) and how often to evaluate them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a participant left the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepartureReason {
     /// The allocation method punished the participant
     /// (satisfaction below adequation, beyond the tolerated margin).
@@ -42,7 +41,7 @@ impl fmt::Display for DepartureReason {
 }
 
 /// The consumer departure rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsumerDepartureRule {
     /// Tolerated dissatisfaction margin: the consumer leaves when
     /// `δs(c) < δa(c) − margin`. The paper uses 0 (any punishment at all).
@@ -88,7 +87,7 @@ impl ConsumerDepartureRule {
 }
 
 /// The provider departure rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProviderDepartureRule {
     /// Dissatisfaction margin: the provider leaves when
     /// `δs(p) < δa(p) − margin` (paper: 0.15).
@@ -111,7 +110,7 @@ pub struct ProviderDepartureRule {
 }
 
 /// Which provider departure reasons are active in a given experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnabledReasons {
     /// Dissatisfaction departures are possible.
     pub dissatisfaction: bool,

@@ -11,7 +11,6 @@
 //! a [`sqlb_satisfaction::ProviderTracker`] fed `Intention::new(pref)`, so
 //! every reading is bit-identical to it (pinned by the agent's tests).
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::{Intention, QueryClass};
 
 use crate::provider::ProviderConfig;
@@ -34,7 +33,7 @@ fn class_index(code: u8) -> usize {
 
 /// A bounded FIFO of class codes with a running sum of their table values,
 /// maintained in the subtract-then-add order of an evict-and-push memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CodeRing {
     /// Grows with the fill up to `capacity`, then becomes a ring whose
     /// oldest entry is at `head` (0 while filling).
@@ -89,7 +88,7 @@ impl CodeRing {
 ///
 /// Construction allocates nothing: both rings grow with the fill, like the
 /// windows of [`sqlb_satisfaction::ProviderTracker`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct PreferenceWindow {
     /// Unit-space value of each class code: `Intention::new(prf).to_unit()`
     /// for Light and Heavy, and the image of a neutral preference for

@@ -1,6 +1,5 @@
 //! The Mariposa-like economic baseline (Section 6.2.2).
 
-use serde::{Deserialize, Serialize};
 use sqlb_core::{
     allocation::{select_best, Allocation, AllocationMethod, Bid, CandidateInfo, MediatorView},
     scoring::RankedProvider,
@@ -15,7 +14,7 @@ use sqlb_types::Query;
 /// curve as a line `max_price(delay) = price_at_zero_delay − slope × delay`
 /// (never below zero): the consumer is willing to pay more for faster
 /// answers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BidCurve {
     /// Price accepted for an immediate answer.
     pub price_at_zero_delay: f64,
@@ -54,7 +53,7 @@ impl Default for BidCurve {
 }
 
 /// Configuration of the Mariposa-like broker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MariposaConfig {
     /// The consumer bid curve used when the consumer does not provide one.
     pub default_curve: BidCurve,

@@ -4,10 +4,7 @@
 //! mediation round as the number of participant endpoints grows into the
 //! tens of thousands? The asynchronous reactor tracks an endpoint as a
 //! slab entry polled by one event loop, so it is measured at 10 000 and
-//! 50 000 endpoints; the legacy thread-per-participant wave — one OS
-//! thread spawned per participant request — is measured at 1 000
-//! endpoints for contrast (spawning 10 000+ threads per round is exactly
-//! the cost the reactor exists to avoid).
+//! 50 000 endpoints.
 //!
 //! Each measured round is one `gather_batch` wave in which *every*
 //! provider endpoint is the candidate of exactly one query (batches of
@@ -21,9 +18,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqlb_mediation::{
-    decode_participant_reply, encode_participant_reply, run_wave_threaded, AsyncMediator,
-    ConsumerEndpoint, IntentionWave, ParticipantReply, ProviderAnswer, ProviderEndpoint,
-    RuntimeConfig,
+    decode_participant_reply, encode_participant_reply, AsyncMediator, ConsumerEndpoint,
+    ParticipantReply, ProviderEndpoint, RuntimeConfig,
 };
 use sqlb_types::{ConsumerId, ProviderId, Query, QueryClass, QueryId, SimTime};
 
@@ -112,38 +108,6 @@ fn bench_reactor(criterion: &mut Criterion) {
     group.finish();
 }
 
-fn bench_threaded(criterion: &mut Criterion) {
-    let mut group = criterion.benchmark_group("threaded_round");
-    group.measurement_time(Duration::from_secs(4));
-    // 1 000 endpoints is already ~1 000 thread spawns per round; the
-    // reactor groups above run 10–50× more endpoints per round.
-    let endpoints = 1_000usize;
-    let batch = full_coverage_batch(endpoints);
-    group.bench_function(BenchmarkId::from_parameter(endpoints), |b| {
-        b.iter(|| {
-            let mut wave = IntentionWave::new();
-            for (query, candidates) in &batch {
-                let q = query.id;
-                wave.consumer(query.consumer, None, move || {
-                    vec![(q, candidates.iter().map(|&p| (p, 0.5)).collect())]
-                });
-                for &p in candidates {
-                    wave.provider(p, None, move || {
-                        vec![ProviderAnswer {
-                            query: q,
-                            intention: 0.75,
-                            utilization: 0.0,
-                            bid: None,
-                        }]
-                    });
-                }
-            }
-            run_wave_threaded(wave, Duration::from_secs(5))
-        })
-    });
-    group.finish();
-}
-
 fn bench_framing(criterion: &mut Criterion) {
     let mut group = criterion.benchmark_group("frame_wave_replies");
     group.measurement_time(Duration::from_secs(2));
@@ -171,5 +135,5 @@ fn bench_framing(criterion: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_reactor, bench_threaded, bench_framing);
+criterion_group!(benches, bench_reactor, bench_framing);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Prints a bit-exact digest of simulation reports over a fixed
 //! configuration matrix, optionally across all mediation backends
-//! (threaded, reactor, and the loopback socket transport).
+//! (inline, the asynchronous reactor, and the loopback socket transport).
 //!
 //! The digest ([`sqlb_sim::SimulationReport::digest`]) folds the raw
 //! IEEE-754 bits of every recorded metric series (plus the query
@@ -12,8 +12,8 @@
 //!   previous commit and on the working tree and diff the output;
 //! * **"all mediation backends must agree"** — run it with `--backends`:
 //!   every configuration of the matrix is executed on the inline path,
-//!   the legacy threaded runtime and the asynchronous reactor, and the
-//!   process exits non-zero if any digest disagrees.
+//!   the asynchronous reactor and the socket transport, and the process
+//!   exits non-zero if any digest disagrees with the inline one.
 //!
 //! ```text
 //! cargo run --release -p sqlb-bench --bin report_digest
@@ -49,11 +49,7 @@ fn main() {
             if !compare_backends {
                 continue;
             }
-            for mode in [
-                MediationMode::Threaded,
-                MediationMode::Reactor,
-                MediationMode::Socket,
-            ] {
+            for mode in [MediationMode::Reactor, MediationMode::Socket] {
                 let mediated = run_simulation(config.with_mediation(mode), method)
                     .expect("valid config")
                     .digest();

@@ -6,14 +6,13 @@
 //! satisfaction bookkeeping, and returns the allocation vector — i.e. which
 //! `min(q.n, N)` providers get the query (Section 2).
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::{ConsumerId, ProviderId, Query, QueryId};
 
 use crate::scoring::{rank_candidates_in_place, select_top_k, RankedProvider};
 
 /// A provider's bid for a query, used by economic allocation methods
 /// (the Mariposa-like baseline, Section 6.2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bid {
     /// Price asked by the provider for performing the query.
     pub price: f64,
@@ -33,7 +32,7 @@ impl Bid {
 
 /// Everything the mediation process gathered about one candidate provider
 /// for one query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateInfo {
     /// The candidate provider.
     pub provider: ProviderId,
@@ -92,7 +91,7 @@ impl CandidateInfo {
 
 /// The outcome of allocating one query: the selected providers (the set
 /// `\hat{P}_q`, in rank order) plus the full ranking for diagnostics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// The query that was allocated.
     pub query: QueryId,

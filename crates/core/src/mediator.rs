@@ -17,7 +17,6 @@
 //! consumer readings with their observation weights, and every peer blends
 //! them into its own view.
 
-use serde::{Deserialize, Serialize};
 use sqlb_obs::{Counter, Obs};
 use sqlb_types::{ConsumerId, MediatorId, Query};
 
@@ -39,7 +38,7 @@ struct MediatorMetrics {
 }
 
 /// One consumer's satisfaction reading inside a [`SatisfactionDigest`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsumerDigestEntry {
     /// The consumer the reading is about.
     pub consumer: ConsumerId,
@@ -52,7 +51,7 @@ pub struct ConsumerDigestEntry {
 
 /// A mediator's shareable view of consumer satisfaction, exchanged during
 /// periodic synchronization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SatisfactionDigest {
     /// The mediator that produced the digest.
     pub mediator: MediatorId,

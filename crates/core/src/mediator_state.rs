@@ -6,7 +6,6 @@
 //! intention-based [`ConsumerTracker`] per consumer and an intention-based
 //! [`ProviderTracker`] per provider, updated after every allocation.
 
-use serde::{Deserialize, Serialize};
 // Re-exported so layers that carry trackers across mediators (the shard
 // router's migration and churn parking paths) can name the type without a
 // direct dependency on the satisfaction crate.
@@ -27,7 +26,7 @@ struct RecordScratch {
 }
 
 /// Configuration of the mediator-side trackers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediatorStateConfig {
     /// Window size for consumer trackers (`conSatSize`, Table 2: 200).
     pub consumer_window: usize,
@@ -54,7 +53,7 @@ impl Default for MediatorStateConfig {
 
 /// A consumer's satisfaction as reported by *other* mediators, absorbed
 /// during periodic view synchronization (see `crate::mediator`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemoteConsumerView {
     /// Weighted sum of the remote satisfaction readings.
     weighted_satisfaction: f64,
@@ -64,7 +63,7 @@ pub struct RemoteConsumerView {
 
 /// The mediator's view of every participant's intention-based
 /// characteristics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MediatorState {
     config: MediatorStateConfig,
     consumers: StridedTable<ConsumerId, ConsumerTracker>,

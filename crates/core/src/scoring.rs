@@ -11,14 +11,13 @@
 
 use std::cmp::Ordering;
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::ProviderId;
 
 use crate::allocation::CandidateInfo;
 use crate::intention::{powf_fast, IntentionParams};
 
 /// A provider together with its score for a given query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankedProvider {
     /// The provider being ranked.
     pub provider: ProviderId,

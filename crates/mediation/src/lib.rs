@@ -16,17 +16,18 @@
 //!   (hardened against hostile length prefixes) and the [`FrameAssembler`]
 //!   that reassembles frames from stream chunk boundaries — the contract
 //!   the socket transport (`sqlb-transport`) speaks on real connections;
+//! * [`runtime`] — the participant contract every backend speaks: the
+//!   [`ConsumerEndpoint`] / [`ProviderEndpoint`] traits and the
+//!   [`RuntimeConfig`] timeout, served in-process by the reactor and over
+//!   sockets by `sqlb-transport`;
 //! * [`reactor`] — the asynchronous mediation reactor: participant
-//!   endpoints as polled state machines driven by a single event loop with
-//!   a readiness queue, a timer heap and per-endpoint deadline tracking,
-//!   scaling one host to tens of thousands of endpoints. Its batched
-//!   [`AsyncMediator::gather_batch`] / [`AsyncMediator::mediate_batch`]
-//!   are the native entry points;
-//! * [`runtime`] — the legacy thread-per-participant runtime built on
-//!   crossbeam channels, kept as the comparison backend: the mediator
-//!   broadcasts requests, gathers replies until the deadline, treats
-//!   missing replies as indifference, and notifies every candidate of the
-//!   mediation result.
+//!   endpoints as polled state machines driven by a single event loop
+//!   with a readiness queue, a timer heap and per-endpoint deadline
+//!   tracking, scaling one host to tens of thousands of endpoints. The mediator broadcasts requests,
+//!   gathers replies until the deadline, treats missing replies as
+//!   indifference, and notifies every candidate of the mediation result.
+//!   Its batched [`AsyncMediator::gather_batch`] /
+//!   [`AsyncMediator::mediate_batch`] are the native entry points.
 
 #![deny(missing_docs)]
 
@@ -40,7 +41,6 @@ pub use protocol::{
     FrameAssembler, FrameError, FrameReader, MediatorMessage, ParticipantReply, MAX_FRAME_PAYLOAD,
 };
 pub use reactor::{
-    run_wave_threaded, AsyncMediator, IntentionWave, Latency, ProviderAnswer, Reactor, RoundStats,
-    WaveReplies,
+    AsyncMediator, IntentionWave, Latency, ProviderAnswer, Reactor, RoundStats, WaveReplies,
 };
-pub use runtime::{ConsumerEndpoint, MediationRuntime, ProviderEndpoint, RuntimeConfig};
+pub use runtime::{ConsumerEndpoint, ProviderEndpoint, RuntimeConfig};

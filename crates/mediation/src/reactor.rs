@@ -1,10 +1,8 @@
 //! The asynchronous mediation reactor.
 //!
-//! The thread-per-participant model of [`crate::runtime`] keeps one OS
-//! thread alive per registered endpoint, which caps a mediation host at a
-//! few thousand participants. The reactor replaces that model: participant
-//! endpoints become *polled state machines* driven by a single event loop,
-//! so one host can run tens of thousands of endpoints in one thread.
+//! Participant endpoints are *polled state machines* driven by a single
+//! event loop rather than one OS thread each, so one host can run tens of
+//! thousands of endpoints in one thread.
 //!
 //! # How a wave runs
 //!
@@ -36,16 +34,13 @@
 //! the deadline) instead of sleeping, so a 50 000-endpoint wave with a
 //! 200 ms timeout completes in microseconds of wall time and the
 //! timeout-to-indifference transition happens at *exactly* the configured
-//! deadline, reproducibly. Wall-clock latency modelling stays available
-//! through the threaded backend ([`run_wave_threaded`]), which interprets
-//! the same wave with real sleeps and a real deadline — the two backends
-//! agree on every reply value, which is what keeps simulation report
-//! digests bit-identical between them.
+//! deadline, reproducibly.
 //!
 //! # Entry points
 //!
-//! [`AsyncMediator`] is the owned-endpoint facade (the drop-in analogue of
-//! [`crate::runtime::MediationRuntime`]): register endpoints, then call
+//! [`AsyncMediator`] is the owned-endpoint facade over
+//! [`ConsumerEndpoint`] / [`ProviderEndpoint`] implementations: register
+//! endpoints, then call
 //! [`AsyncMediator::gather_batch`] / [`AsyncMediator::mediate_batch`] —
 //! the native entry points — or the single-query conveniences built on
 //! them. Embedders that already own their participants (the simulator
@@ -100,9 +95,8 @@ impl ReactorMetrics {
 /// delivered to it.
 ///
 /// The reactor interprets delays in *virtual* time (its clock jumps, it
-/// never sleeps); the threaded backend interprets the same values in real
-/// time. Either way a reply that would land after the wave deadline is
-/// read as indifference.
+/// never sleeps); a reply that would land after the wave deadline is read
+/// as indifference.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Latency {
     /// The reply is available as soon as the event loop polls the
@@ -143,8 +137,8 @@ pub struct ProviderAnswer {
     pub bid: Option<Bid>,
 }
 
-type ConsumerJob<'a> = Box<dyn FnOnce() -> ConsumerBatchAnswer + Send + 'a>;
-type ProviderJob<'a> = Box<dyn FnOnce() -> ProviderBatchAnswer + Send + 'a>;
+type ConsumerJob<'a> = Box<dyn FnOnce() -> ConsumerBatchAnswer + 'a>;
+type ProviderJob<'a> = Box<dyn FnOnce() -> ProviderBatchAnswer + 'a>;
 
 /// A consumer endpoint temporarily detached from the facade for one wave,
 /// together with its share of the wave's requests.
@@ -190,15 +184,12 @@ impl<'a> IntentionWave<'a> {
 
     /// Adds a consumer's batched intention request. `latency` overrides
     /// the endpoint's latency for this wave; `None` means the reactor
-    /// falls back to the endpoint's registered profile, while the
-    /// threaded backend — which keeps no profiles — treats `None` as
-    /// [`Latency::Immediate`]. Pass an explicit `Some` when a wave must
-    /// behave identically on both backends with a non-immediate latency.
+    /// falls back to the endpoint's registered profile.
     pub fn consumer(
         &mut self,
         id: ConsumerId,
         latency: Option<Latency>,
-        job: impl FnOnce() -> ConsumerBatchAnswer + Send + 'a,
+        job: impl FnOnce() -> ConsumerBatchAnswer + 'a,
     ) {
         self.consumers.push(ConsumerTask {
             id,
@@ -214,7 +205,7 @@ impl<'a> IntentionWave<'a> {
         &mut self,
         id: ProviderId,
         latency: Option<Latency>,
-        job: impl FnOnce() -> ProviderBatchAnswer + Send + 'a,
+        job: impl FnOnce() -> ProviderBatchAnswer + 'a,
     ) {
         self.providers.push(ProviderTask {
             id,
@@ -635,100 +626,13 @@ fn duration_nanos(duration: Duration) -> u64 {
     u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Runs one wave on the legacy threaded backend: one scoped OS thread per
-/// participant request, a real deadline, and real sleeps for modelled
-/// latencies ([`Latency::After`] sleeps, [`Latency::Never`] never sends).
-///
-/// This is the thread-per-participant model the reactor replaces, kept as
-/// the comparison backend: for any wave whose replies arrive *strictly
-/// before* the deadline, it returns the same values as
-/// [`Reactor::run_wave`], which is what the cross-backend digest tests
-/// pin. The boundary differs by nature: the reactor's virtual clock makes
-/// a reply at exactly the deadline arrive deterministically, while here
-/// the deadline is real time, so a sleep of exactly `timeout` races the
-/// receiver and (almost always) degrades to indifference — don't model
-/// at-the-deadline latencies on this backend. Scoped threads are joined
-/// before this function returns, so a sleeping straggler delays the
-/// *return* (not the deadline: its reply is still discarded).
-pub fn run_wave_threaded(wave: IntentionWave<'_>, timeout: Duration) -> WaveReplies {
-    enum Answer {
-        Consumer(usize, ConsumerBatchAnswer),
-        Provider(usize, ProviderBatchAnswer),
-    }
-
-    let deadline = std::time::Instant::now() + timeout;
-    let mut consumer_replies: Vec<(ConsumerId, Option<ConsumerBatchAnswer>)> =
-        wave.consumers.iter().map(|t| (t.id, None)).collect();
-    let mut provider_replies: Vec<(ProviderId, Option<ProviderBatchAnswer>)> =
-        wave.providers.iter().map(|t| (t.id, None)).collect();
-
-    std::thread::scope(|scope| {
-        let (tx, rx) = crossbeam::channel::unbounded::<Answer>();
-        let mut expected = 0usize;
-        for (idx, task) in wave.consumers.into_iter().enumerate() {
-            let latency = task.latency.unwrap_or_default();
-            if matches!(latency, Latency::Never) {
-                continue;
-            }
-            expected += 1;
-            let tx = tx.clone();
-            let job = task.job;
-            scope.spawn(move || {
-                if let Latency::After(delay) = latency {
-                    std::thread::sleep(delay);
-                }
-                let _ = tx.send(Answer::Consumer(idx, job()));
-            });
-        }
-        for (idx, task) in wave.providers.into_iter().enumerate() {
-            let latency = task.latency.unwrap_or_default();
-            if matches!(latency, Latency::Never) {
-                continue;
-            }
-            expected += 1;
-            let tx = tx.clone();
-            let job = task.job;
-            scope.spawn(move || {
-                if let Latency::After(delay) = latency {
-                    std::thread::sleep(delay);
-                }
-                let _ = tx.send(Answer::Provider(idx, job()));
-            });
-        }
-        drop(tx);
-
-        let mut received = 0usize;
-        while received < expected {
-            match rx.recv_deadline(deadline) {
-                Ok(Answer::Consumer(idx, reply)) => {
-                    consumer_replies[idx].1 = Some(reply);
-                    received += 1;
-                }
-                Ok(Answer::Provider(idx, reply)) => {
-                    provider_replies[idx].1 = Some(reply);
-                    received += 1;
-                }
-                Err(_) => break, // deadline: the rest degrade to indifference
-            }
-        }
-    });
-
-    WaveReplies {
-        consumers: consumer_replies,
-        providers: provider_replies,
-    }
-}
-
-/// The owned-endpoint facade over the reactor: the asynchronous
-/// counterpart of [`crate::runtime::MediationRuntime`], with
+/// The owned-endpoint facade over the reactor, with
 /// [`AsyncMediator::gather_batch`] and [`AsyncMediator::mediate_batch`]
 /// as the native entry points.
 ///
-/// Endpoints implement the same [`ConsumerEndpoint`] / [`ProviderEndpoint`]
-/// traits as the threaded runtime; their
+/// Endpoints implement [`ConsumerEndpoint`] / [`ProviderEndpoint`]; their
 /// [`ConsumerEndpoint::latency`] / [`ProviderEndpoint::latency`] hooks
-/// (ignored by the threaded runtime, which models latency with real
-/// blocking) tell the reactor when each reply becomes available.
+/// tell the reactor when each reply becomes available.
 ///
 /// ```
 /// use sqlb_mediation::{AsyncMediator, ConsumerEndpoint, ProviderEndpoint, RuntimeConfig};
@@ -774,9 +678,8 @@ impl AsyncMediator {
         }
     }
 
-    /// Registers a consumer endpoint. Unlike the threaded runtime, no
-    /// thread is spawned: the endpoint becomes a state machine polled by
-    /// the reactor's event loop.
+    /// Registers a consumer endpoint. No thread is spawned: the endpoint
+    /// becomes a state machine polled by the reactor's event loop.
     pub fn register_consumer(&mut self, id: ConsumerId, endpoint: impl ConsumerEndpoint) {
         self.reactor.register_consumer(id, Latency::Immediate);
         self.consumers.insert(id, Box::new(endpoint));
@@ -1398,81 +1301,6 @@ mod tests {
         let candidates: Vec<ProviderId> = (0..2).map(ProviderId::new).collect();
         let infos = mediator.gather(&query(1), &candidates);
         assert_eq!(infos[1].provider_intention, 0.0);
-    }
-
-    #[test]
-    fn threaded_and_reactor_backends_agree_on_wave_replies() {
-        // The cross-backend contract in miniature: the same wave, run on
-        // the event loop and on scoped threads, yields identical
-        // candidate information.
-        let requests: Vec<(Query, Vec<ProviderId>)> = (0..4)
-            .map(|i| (query(i), (0..3).map(ProviderId::new).collect()))
-            .collect();
-        let build_wave = |values: &'static [f64]| {
-            let mut wave = IntentionWave::new();
-            let reqs = requests.clone();
-            wave.consumer(ConsumerId::new(0), None, move || {
-                reqs.iter()
-                    .map(|(q, cands)| {
-                        (
-                            q.id,
-                            cands.iter().map(|&p| (p, 0.1 * p.index() as f64)).collect(),
-                        )
-                    })
-                    .collect()
-            });
-            for (i, &value) in values.iter().enumerate() {
-                let queries: Vec<QueryId> = requests.iter().map(|(q, _)| q.id).collect();
-                wave.provider(ProviderId::new(i as u32), None, move || {
-                    queries
-                        .iter()
-                        .map(|&q| ProviderAnswer {
-                            query: q,
-                            intention: value,
-                            utilization: value.abs(),
-                            bid: None,
-                        })
-                        .collect()
-                });
-            }
-            wave
-        };
-        static VALUES: [f64; 3] = [0.9, -0.3, 0.45];
-        let mut reactor = Reactor::new(RuntimeConfig::default());
-        let from_reactor = reactor
-            .run_wave(build_wave(&VALUES))
-            .into_candidate_infos(&requests);
-        let from_threads = run_wave_threaded(build_wave(&VALUES), Duration::from_secs(5))
-            .into_candidate_infos(&requests);
-        assert_eq!(from_reactor, from_threads);
-    }
-
-    #[test]
-    fn threaded_backend_honours_never_and_after_latencies() {
-        let mut wave = IntentionWave::new();
-        wave.provider(ProviderId::new(0), Some(Latency::Never), move || {
-            vec![ProviderAnswer {
-                query: QueryId::new(0),
-                intention: 1.0,
-                utilization: 0.0,
-                bid: None,
-            }]
-        });
-        wave.provider(
-            ProviderId::new(1),
-            Some(Latency::After(Duration::from_millis(1))),
-            move || {
-                vec![ProviderAnswer {
-                    query: QueryId::new(0),
-                    intention: 0.5,
-                    utilization: 0.0,
-                    bid: None,
-                }]
-            },
-        );
-        let replies = run_wave_threaded(wave, Duration::from_secs(2));
-        assert!(replies.providers[0].1.is_none(), "Never sends no reply");
-        assert!(replies.providers[1].1.is_some(), "1 ms beats the deadline");
     }
 
     #[test]

@@ -1,22 +1,27 @@
-//! Thread-per-participant mediation runtime.
+//! The participant contract every mediation backend speaks.
 //!
-//! The runtime realizes the concurrent part of Algorithm 1: for each query
-//! it *forks* an intention request to the issuing consumer and to every
-//! candidate provider (each participant runs on its own thread), *waits
-//! until* all answers have arrived *or a timeout* elapses, and treats
-//! missing answers as indifference (`0`). After the allocation decision it
-//! notifies every candidate of the mediation result, selected or not.
+//! A mediation runtime realizes the concurrent part of Algorithm 1: for
+//! each query it *forks* an intention request to the issuing consumer and
+//! to every candidate provider, *waits until* all answers have arrived *or
+//! a timeout* elapses, and treats missing answers as indifference (`0`).
+//! After the allocation decision it notifies every candidate of the
+//! mediation result, selected or not.
+//!
+//! This module holds what the participants and the timeout look like to
+//! such a runtime: the [`ConsumerEndpoint`] / [`ProviderEndpoint`] traits
+//! and the [`RuntimeConfig`]. The in-process reactor
+//! ([`crate::reactor::AsyncMediator`]) drives them as polled state
+//! machines; the socket participant host (`sqlb-transport`) serves the
+//! same traits over real connections.
 
-use std::collections::{BTreeMap, HashMap};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use sqlb_core::allocation::{Allocation, AllocationMethod, Bid, CandidateInfo};
-use sqlb_core::MediatorState;
-use sqlb_types::{ConsumerId, ProviderId, Query, QueryId};
+use sqlb_core::allocation::Bid;
+use sqlb_types::{ProviderId, Query, QueryId};
 
-/// Behaviour of a consumer participant reachable through the runtime.
+use crate::reactor::Latency;
+
+/// Behaviour of a consumer participant reachable through the mediator.
 pub trait ConsumerEndpoint: Send + 'static {
     /// The consumer's intentions towards the candidate providers of its
     /// query (the vector `CI_q`).
@@ -40,18 +45,16 @@ pub trait ConsumerEndpoint: Send + 'static {
     /// queries.
     fn allocation_result(&mut self, _query: QueryId, _providers: &[ProviderId]) {}
 
-    /// When this endpoint's replies become available, as modelled by the
-    /// asynchronous reactor ([`crate::reactor`]). The threaded runtime
-    /// ignores this hook — its endpoints model latency by actually
-    /// blocking on their own thread — while the reactor uses it to park
-    /// the endpoint's state machine on its timer heap instead of
-    /// sleeping. Queried once per wave the endpoint takes part in.
-    fn latency(&mut self) -> crate::reactor::Latency {
-        crate::reactor::Latency::Immediate
+    /// When this endpoint's replies become available. The reactor parks
+    /// the endpoint's state machine on its timer heap until then instead
+    /// of sleeping; a socket participant host (`sqlb-transport`) sleeps
+    /// for real. Queried once per wave the endpoint takes part in.
+    fn latency(&mut self) -> Latency {
+        Latency::Immediate
     }
 }
 
-/// Behaviour of a provider participant reachable through the runtime.
+/// Behaviour of a provider participant reachable through the mediator.
 pub trait ProviderEndpoint: Send + 'static {
     /// The provider's intention `pi_p(q)` for performing the query.
     fn intention(&mut self, query: &Query) -> f64;
@@ -85,25 +88,23 @@ pub trait ProviderEndpoint: Send + 'static {
     /// Notification of the mediation result (selected or not).
     fn allocation_notice(&mut self, _query: QueryId, _selected: bool) {}
 
-    /// When this endpoint's replies become available, as modelled by the
-    /// asynchronous reactor ([`crate::reactor`]). Ignored by the threaded
-    /// runtime (see [`ConsumerEndpoint::latency`]).
-    fn latency(&mut self) -> crate::reactor::Latency {
-        crate::reactor::Latency::Immediate
+    /// When this endpoint's replies become available (see
+    /// [`ConsumerEndpoint::latency`]).
+    fn latency(&mut self) -> Latency {
+        Latency::Immediate
     }
 
     /// The provider's current utilization `Ut(p)`, shown to the mediator
     /// alongside its intentions. Methods that do not read utilization
     /// (SQLB proper) ignore it, but the Capacity-based baseline ranks by
     /// it — endpoints serving such a method should override the `0.0`
-    /// (idle) default. Queried once per wave by the reactor facade;
-    /// the legacy threaded runtime does not gather utilization at all.
+    /// (idle) default. Queried once per wave.
     fn utilization(&mut self) -> f64 {
         0.0
     }
 }
 
-/// Runtime configuration.
+/// Mediator configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
     /// How long the mediator waits for intention replies before falling
@@ -122,456 +123,18 @@ impl Default for RuntimeConfig {
     }
 }
 
-enum ConsumerRequest {
-    Intentions {
-        query: Query,
-        candidates: Vec<ProviderId>,
-    },
-    IntentionsBatch {
-        batch: u64,
-        requests: Vec<(Query, Vec<ProviderId>)>,
-    },
-    Result {
-        query: QueryId,
-        providers: Vec<ProviderId>,
-    },
-    Shutdown,
-}
-
-enum ProviderRequest {
-    Intention {
-        query: Query,
-        request_bid: bool,
-    },
-    IntentionBatch {
-        batch: u64,
-        queries: Vec<Query>,
-        request_bids: bool,
-    },
-    Notice {
-        query: QueryId,
-        selected: bool,
-    },
-    Shutdown,
-}
-
-enum Reply {
-    Consumer {
-        query: QueryId,
-        intentions: Vec<(ProviderId, f64)>,
-    },
-    Provider {
-        query: QueryId,
-        provider: ProviderId,
-        intention: f64,
-        bid: Option<Bid>,
-    },
-    ConsumerBatch {
-        batch: u64,
-        intentions: Vec<(QueryId, Vec<(ProviderId, f64)>)>,
-    },
-    ProviderBatch {
-        batch: u64,
-        provider: ProviderId,
-        intentions: Vec<(QueryId, f64, Option<Bid>)>,
-    },
-}
-
-/// The mediation runtime: owns one worker thread per registered
-/// participant and drives the fork / waituntil / timeout protocol.
-pub struct MediationRuntime {
-    config: RuntimeConfig,
-    consumers: HashMap<ConsumerId, Sender<ConsumerRequest>>,
-    providers: HashMap<ProviderId, Sender<ProviderRequest>>,
-    reply_tx: Sender<Reply>,
-    reply_rx: Receiver<Reply>,
-    handles: Vec<JoinHandle<()>>,
-    /// Identifier of the next mediation batch, so late batch replies can
-    /// be told apart from the current round's.
-    next_batch: std::sync::atomic::AtomicU64,
-}
-
-impl MediationRuntime {
-    /// Creates an empty runtime.
-    pub fn new(config: RuntimeConfig) -> Self {
-        let (reply_tx, reply_rx) = unbounded();
-        MediationRuntime {
-            config,
-            consumers: HashMap::new(),
-            providers: HashMap::new(),
-            reply_tx,
-            reply_rx,
-            handles: Vec::new(),
-            next_batch: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Registers a consumer endpoint; a dedicated worker thread starts
-    /// serving its intention requests.
-    pub fn register_consumer(&mut self, id: ConsumerId, mut endpoint: impl ConsumerEndpoint) {
-        let (tx, rx) = unbounded::<ConsumerRequest>();
-        let reply_tx = self.reply_tx.clone();
-        let handle = std::thread::spawn(move || {
-            while let Ok(request) = rx.recv() {
-                match request {
-                    ConsumerRequest::Intentions { query, candidates } => {
-                        let intentions = endpoint.intentions(&query, &candidates);
-                        let _ = reply_tx.send(Reply::Consumer {
-                            query: query.id,
-                            intentions,
-                        });
-                    }
-                    ConsumerRequest::IntentionsBatch { batch, requests } => {
-                        let intentions = endpoint.intentions_batch(&requests);
-                        let _ = reply_tx.send(Reply::ConsumerBatch { batch, intentions });
-                    }
-                    ConsumerRequest::Result { query, providers } => {
-                        endpoint.allocation_result(query, &providers);
-                    }
-                    ConsumerRequest::Shutdown => break,
-                }
-            }
-        });
-        self.consumers.insert(id, tx);
-        self.handles.push(handle);
-    }
-
-    /// Registers a provider endpoint.
-    pub fn register_provider(&mut self, id: ProviderId, mut endpoint: impl ProviderEndpoint) {
-        let (tx, rx) = unbounded::<ProviderRequest>();
-        let reply_tx = self.reply_tx.clone();
-        let handle = std::thread::spawn(move || {
-            while let Ok(request) = rx.recv() {
-                match request {
-                    ProviderRequest::Intention { query, request_bid } => {
-                        let intention = endpoint.intention(&query);
-                        let bid = if request_bid {
-                            endpoint.bid(&query)
-                        } else {
-                            None
-                        };
-                        let _ = reply_tx.send(Reply::Provider {
-                            query: query.id,
-                            provider: id,
-                            intention,
-                            bid,
-                        });
-                    }
-                    ProviderRequest::IntentionBatch {
-                        batch,
-                        queries,
-                        request_bids,
-                    } => {
-                        let intentions = endpoint.intention_batch(&queries, request_bids);
-                        let _ = reply_tx.send(Reply::ProviderBatch {
-                            batch,
-                            provider: id,
-                            intentions,
-                        });
-                    }
-                    ProviderRequest::Notice { query, selected } => {
-                        endpoint.allocation_notice(query, selected);
-                    }
-                    ProviderRequest::Shutdown => break,
-                }
-            }
-        });
-        self.providers.insert(id, tx);
-        self.handles.push(handle);
-    }
-
-    /// Removes a participant (e.g. on departure). Its worker thread shuts
-    /// down once it drains its queue.
-    pub fn deregister_provider(&mut self, id: ProviderId) {
-        if let Some(tx) = self.providers.remove(&id) {
-            let _ = tx.send(ProviderRequest::Shutdown);
-        }
-    }
-
-    /// Number of registered providers.
-    pub fn provider_count(&self) -> usize {
-        self.providers.len()
-    }
-
-    /// Number of registered consumers.
-    pub fn consumer_count(&self) -> usize {
-        self.consumers.len()
-    }
-
-    /// Gathers the candidate information for one query: forks the intention
-    /// requests, waits for the replies until the configured timeout and
-    /// fills in indifference (`0`) for missing answers (Algorithm 1,
-    /// lines 2–5).
-    pub fn gather(&self, query: &Query, candidates: &[ProviderId]) -> Vec<CandidateInfo> {
-        // Drain any stale reply left over from a previous, timed-out
-        // mediation round.
-        while self.reply_rx.try_recv().is_ok() {}
-
-        let mut expected = 0usize;
-        if let Some(tx) = self.consumers.get(&query.consumer) {
-            let _ = tx.send(ConsumerRequest::Intentions {
-                query: query.clone(),
-                candidates: candidates.to_vec(),
-            });
-            expected += 1;
-        }
-        for provider in candidates {
-            if let Some(tx) = self.providers.get(provider) {
-                let _ = tx.send(ProviderRequest::Intention {
-                    query: query.clone(),
-                    request_bid: self.config.request_bids,
-                });
-                expected += 1;
-            }
-        }
-
-        let mut consumer_intentions: HashMap<ProviderId, f64> = HashMap::new();
-        let mut provider_intentions: HashMap<ProviderId, (f64, Option<Bid>)> = HashMap::new();
-        let deadline = Instant::now() + self.config.timeout;
-        let mut received = 0usize;
-        while received < expected {
-            match self.reply_rx.recv_deadline(deadline) {
-                Ok(Reply::Consumer {
-                    query: replied,
-                    intentions,
-                }) if replied == query.id => {
-                    received += 1;
-                    consumer_intentions.extend(intentions);
-                }
-                Ok(Reply::Provider {
-                    query: replied,
-                    provider,
-                    intention,
-                    bid,
-                }) if replied == query.id => {
-                    received += 1;
-                    provider_intentions.insert(provider, (intention, bid));
-                }
-                Ok(_) => continue, // stale reply for an older query or batch
-                Err(_) => break,   // timeout: remaining answers default to 0
-            }
-        }
-
-        candidates
-            .iter()
-            .map(|&p| {
-                let ci = consumer_intentions.get(&p).copied().unwrap_or(0.0);
-                let (pi, bid) = provider_intentions.get(&p).copied().unwrap_or((0.0, None));
-                let mut info = CandidateInfo::new(p)
-                    .with_consumer_intention(ci)
-                    .with_provider_intention(pi);
-                if let Some(bid) = bid {
-                    info = info.with_bid(bid);
-                }
-                info
-            })
-            .collect()
-    }
-
-    /// Gathers the candidate information for a *batch* of queries with one
-    /// round-trip per participant: every distinct consumer receives a
-    /// single request covering all of its queries in the batch, and every
-    /// distinct candidate provider a single request covering all the
-    /// queries that list it. Replies are awaited until the configured
-    /// timeout; whatever is missing then falls back to indifference (`0`),
-    /// exactly as in the single-query path (Algorithm 1, line 5).
-    ///
-    /// Returns one candidate-info vector per input query, in input order.
-    pub fn gather_batch(&self, requests: &[(Query, Vec<ProviderId>)]) -> Vec<Vec<CandidateInfo>> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        // Drain stale replies from previous, timed-out rounds.
-        while self.reply_rx.try_recv().is_ok() {}
-        let batch = self
-            .next_batch
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-
-        // One message per distinct consumer (BTreeMaps keep the send order
-        // deterministic).
-        let mut by_consumer: BTreeMap<ConsumerId, Vec<(Query, Vec<ProviderId>)>> = BTreeMap::new();
-        let mut by_provider: BTreeMap<ProviderId, Vec<Query>> = BTreeMap::new();
-        for (query, candidates) in requests {
-            by_consumer
-                .entry(query.consumer)
-                .or_default()
-                .push((query.clone(), candidates.clone()));
-            for provider in candidates {
-                by_provider
-                    .entry(*provider)
-                    .or_default()
-                    .push(query.clone());
-            }
-        }
-
-        let mut expected = 0usize;
-        for (consumer, consumer_requests) in by_consumer {
-            if let Some(tx) = self.consumers.get(&consumer) {
-                let _ = tx.send(ConsumerRequest::IntentionsBatch {
-                    batch,
-                    requests: consumer_requests,
-                });
-                expected += 1;
-            }
-        }
-        for (provider, queries) in by_provider {
-            if let Some(tx) = self.providers.get(&provider) {
-                let _ = tx.send(ProviderRequest::IntentionBatch {
-                    batch,
-                    queries,
-                    request_bids: self.config.request_bids,
-                });
-                expected += 1;
-            }
-        }
-
-        let mut consumer_intentions: HashMap<(QueryId, ProviderId), f64> = HashMap::new();
-        let mut provider_intentions: HashMap<(QueryId, ProviderId), (f64, Option<Bid>)> =
-            HashMap::new();
-        let deadline = Instant::now() + self.config.timeout;
-        let mut received = 0usize;
-        while received < expected {
-            match self.reply_rx.recv_deadline(deadline) {
-                Ok(Reply::ConsumerBatch {
-                    batch: replied,
-                    intentions,
-                }) if replied == batch => {
-                    received += 1;
-                    for (query, per_provider) in intentions {
-                        for (provider, intention) in per_provider {
-                            consumer_intentions.insert((query, provider), intention);
-                        }
-                    }
-                }
-                Ok(Reply::ProviderBatch {
-                    batch: replied,
-                    provider,
-                    intentions,
-                }) if replied == batch => {
-                    received += 1;
-                    for (query, intention, bid) in intentions {
-                        provider_intentions.insert((query, provider), (intention, bid));
-                    }
-                }
-                Ok(_) => continue, // stale single reply or an older batch
-                Err(_) => break,   // timeout: remaining answers default to 0
-            }
-        }
-
-        requests
-            .iter()
-            .map(|(query, candidates)| {
-                candidates
-                    .iter()
-                    .map(|&p| {
-                        let ci = consumer_intentions
-                            .get(&(query.id, p))
-                            .copied()
-                            .unwrap_or(0.0);
-                        let (pi, bid) = provider_intentions
-                            .get(&(query.id, p))
-                            .copied()
-                            .unwrap_or((0.0, None));
-                        let mut info = CandidateInfo::new(p)
-                            .with_consumer_intention(ci)
-                            .with_provider_intention(pi);
-                        if let Some(bid) = bid {
-                            info = info.with_bid(bid);
-                        }
-                        info
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Runs Algorithm 1 for a whole batch of queries: one batched gather
-    /// round-trip per participant, then an allocation decision per query
-    /// (recorded in the mediator state) and the result notifications.
-    /// Returns one allocation per input query, in input order.
-    pub fn mediate_batch<M: AllocationMethod>(
-        &self,
-        requests: &[(Query, Vec<ProviderId>)],
-        method: &mut M,
-        state: &mut MediatorState,
-    ) -> Vec<Allocation> {
-        let infos = self.gather_batch(requests);
-        requests
-            .iter()
-            .zip(&infos)
-            .map(|((query, candidates), query_infos)| {
-                let allocation = method.allocate(query, query_infos, state);
-                state.record_allocation(query, query_infos, &allocation);
-                self.notify(query, candidates, &allocation);
-                allocation
-            })
-            .collect()
-    }
-
-    /// Notifies every candidate of the mediation result and the consumer of
-    /// its allocation (Algorithm 1, lines 9–10).
-    pub fn notify(&self, query: &Query, candidates: &[ProviderId], allocation: &Allocation) {
-        for provider in candidates {
-            if let Some(tx) = self.providers.get(provider) {
-                let _ = tx.send(ProviderRequest::Notice {
-                    query: query.id,
-                    selected: allocation.is_selected(*provider),
-                });
-            }
-        }
-        if let Some(tx) = self.consumers.get(&query.consumer) {
-            let _ = tx.send(ConsumerRequest::Result {
-                query: query.id,
-                providers: allocation.selected.clone(),
-            });
-        }
-    }
-
-    /// Runs the full Algorithm 1 for one query: gather → allocate → record
-    /// in the mediator state → notify.
-    pub fn mediate<M: AllocationMethod>(
-        &self,
-        query: &Query,
-        candidates: &[ProviderId],
-        method: &mut M,
-        state: &mut MediatorState,
-    ) -> Allocation {
-        let infos = self.gather(query, candidates);
-        let allocation = method.allocate(query, &infos, state);
-        state.record_allocation(query, &infos, &allocation);
-        self.notify(query, candidates, &allocation);
-        allocation
-    }
-}
-
-impl Drop for MediationRuntime {
-    fn drop(&mut self) {
-        for tx in self.consumers.values() {
-            let _ = tx.send(ConsumerRequest::Shutdown);
-        }
-        for tx in self.providers.values() {
-            let _ = tx.send(ProviderRequest::Shutdown);
-        }
-        self.consumers.clear();
-        self.providers.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use crate::reactor::AsyncMediator;
     use sqlb_baselines::MariposaLike;
-    use sqlb_core::SqlbAllocator;
-    use sqlb_types::{QueryClass, SimTime};
-    use std::sync::Arc;
+    use sqlb_core::{MediatorState, SqlbAllocator};
+    use sqlb_types::{ConsumerId, QueryClass, SimTime};
+    use std::sync::{Arc, Mutex};
 
     struct CannedConsumer {
         values: Vec<f64>,
-        results: Arc<Mutex<Vec<Vec<ProviderId>>>>,
+        results: Results,
     }
 
     impl ConsumerEndpoint for CannedConsumer {
@@ -582,29 +145,29 @@ mod tests {
                 .collect()
         }
         fn allocation_result(&mut self, _query: QueryId, providers: &[ProviderId]) {
-            self.results.lock().push(providers.to_vec());
+            self.results.lock().unwrap().push(providers.to_vec());
         }
     }
 
     struct CannedProvider {
         value: f64,
-        delay: Option<Duration>,
+        latency: Latency,
         bid: Option<Bid>,
-        notices: Arc<Mutex<Vec<(QueryId, bool)>>>,
+        notices: Notices,
     }
 
     impl ProviderEndpoint for CannedProvider {
         fn intention(&mut self, _q: &Query) -> f64 {
-            if let Some(delay) = self.delay {
-                std::thread::sleep(delay);
-            }
             self.value
         }
         fn bid(&mut self, _q: &Query) -> Option<Bid> {
             self.bid
         }
         fn allocation_notice(&mut self, query: QueryId, selected: bool) {
-            self.notices.lock().push((query, selected));
+            self.notices.lock().unwrap().push((query, selected));
+        }
+        fn latency(&mut self) -> Latency {
+            self.latency
         }
     }
 
@@ -624,10 +187,10 @@ mod tests {
         provider_values: &[f64],
         consumer_values: Vec<f64>,
         config: RuntimeConfig,
-    ) -> (MediationRuntime, Notices, Results) {
+    ) -> (AsyncMediator, Notices, Results) {
         let notices = Arc::new(Mutex::new(Vec::new()));
         let results = Arc::new(Mutex::new(Vec::new()));
-        let mut runtime = MediationRuntime::new(config);
+        let mut runtime = AsyncMediator::new(config);
         runtime.register_consumer(
             ConsumerId::new(0),
             CannedConsumer {
@@ -640,7 +203,7 @@ mod tests {
                 ProviderId::new(i as u32),
                 CannedProvider {
                     value,
-                    delay: None,
+                    latency: Latency::Immediate,
                     bid: Some(Bid::new(100.0 * (i as f64 + 1.0), 1.0)),
                     notices: notices.clone(),
                 },
@@ -651,7 +214,7 @@ mod tests {
 
     #[test]
     fn gather_collects_all_intentions() {
-        let (runtime, _, _) = build_runtime(
+        let (mut runtime, _, _) = build_runtime(
             &[0.8, -0.2, 0.4],
             vec![0.5, 0.9, -0.1],
             RuntimeConfig::default(),
@@ -670,7 +233,7 @@ mod tests {
     fn slow_provider_times_out_to_indifference() {
         let notices = Arc::new(Mutex::new(Vec::new()));
         let results = Arc::new(Mutex::new(Vec::new()));
-        let mut runtime = MediationRuntime::new(RuntimeConfig {
+        let mut runtime = AsyncMediator::new(RuntimeConfig {
             timeout: Duration::from_millis(50),
             request_bids: false,
         });
@@ -685,7 +248,7 @@ mod tests {
             ProviderId::new(0),
             CannedProvider {
                 value: 0.7,
-                delay: None,
+                latency: Latency::Immediate,
                 bid: None,
                 notices: notices.clone(),
             },
@@ -694,7 +257,7 @@ mod tests {
             ProviderId::new(1),
             CannedProvider {
                 value: 1.0,
-                delay: Some(Duration::from_millis(500)),
+                latency: Latency::After(Duration::from_millis(500)),
                 bid: None,
                 notices,
             },
@@ -710,7 +273,7 @@ mod tests {
 
     #[test]
     fn mediate_allocates_and_notifies_everyone() {
-        let (runtime, notices, results) =
+        let (mut runtime, notices, results) =
             build_runtime(&[0.9, 0.4], vec![0.8, 0.8], RuntimeConfig::default());
         let candidates: Vec<ProviderId> = (0..2).map(ProviderId::new).collect();
         let mut method = SqlbAllocator::new();
@@ -719,26 +282,18 @@ mod tests {
         assert_eq!(allocation.selected, vec![ProviderId::new(0)]);
         assert_eq!(state.allocations(), 1);
 
-        // Notifications are asynchronous; wait briefly for the workers.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            let n = notices.lock().len();
-            let r = results.lock().len();
-            if (n == 2 && r == 1) || Instant::now() > deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let notices = notices.lock();
-        assert_eq!(notices.len(), 2, "both candidates are told the outcome");
-        assert!(notices.contains(&(QueryId::new(7), true)));
-        assert!(notices.contains(&(QueryId::new(7), false)));
-        assert_eq!(results.lock().len(), 1);
+        // Notices are delivered synchronously, in candidate order.
+        assert_eq!(
+            *notices.lock().unwrap(),
+            vec![(QueryId::new(7), true), (QueryId::new(7), false)],
+            "both candidates are told the outcome"
+        );
+        assert_eq!(*results.lock().unwrap(), vec![vec![ProviderId::new(0)]]);
     }
 
     #[test]
     fn bids_are_gathered_when_requested() {
-        let (runtime, _, _) = build_runtime(
+        let (mut runtime, _, _) = build_runtime(
             &[0.5, 0.5],
             vec![0.5, 0.5],
             RuntimeConfig {
@@ -760,7 +315,7 @@ mod tests {
 
     #[test]
     fn unknown_participants_default_to_indifference() {
-        let (runtime, _, _) = build_runtime(&[0.5], vec![0.5], RuntimeConfig::default());
+        let (mut runtime, _, _) = build_runtime(&[0.5], vec![0.5], RuntimeConfig::default());
         // Candidate 9 is not registered with the runtime at all.
         let candidates = vec![ProviderId::new(0), ProviderId::new(9)];
         let infos = runtime.gather(&query(1), &candidates);
@@ -789,7 +344,7 @@ mod tests {
             queries: &[Query],
             request_bids: bool,
         ) -> Vec<(QueryId, f64, Option<Bid>)> {
-            *self.requests.lock() += 1;
+            *self.requests.lock().unwrap() += 1;
             queries
                 .iter()
                 .map(|q| {
@@ -807,7 +362,7 @@ mod tests {
     fn gather_batch_serves_many_queries_with_one_request_per_participant() {
         let requests_seen = Arc::new(Mutex::new(0u32));
         let results = Arc::new(Mutex::new(Vec::new()));
-        let mut runtime = MediationRuntime::new(RuntimeConfig::default());
+        let mut runtime = AsyncMediator::new(RuntimeConfig::default());
         runtime.register_consumer(
             ConsumerId::new(0),
             CannedConsumer {
@@ -839,7 +394,7 @@ mod tests {
             assert_eq!(per_query[1].consumer_intention, -0.25);
         }
         assert_eq!(
-            *requests_seen.lock(),
+            *requests_seen.lock().unwrap(),
             2,
             "five queries must cost each provider exactly one round-trip"
         );
@@ -847,13 +402,13 @@ mod tests {
 
     #[test]
     fn gather_batch_of_nothing_is_empty() {
-        let (runtime, _, _) = build_runtime(&[0.5], vec![0.5], RuntimeConfig::default());
+        let (mut runtime, _, _) = build_runtime(&[0.5], vec![0.5], RuntimeConfig::default());
         assert!(runtime.gather_batch(&[]).is_empty());
     }
 
     #[test]
     fn mediate_batch_allocates_and_notifies_per_query() {
-        let (runtime, notices, results) =
+        let (mut runtime, notices, results) =
             build_runtime(&[0.9, 0.4], vec![0.8, 0.8], RuntimeConfig::default());
         let candidates: Vec<ProviderId> = (0..2).map(ProviderId::new).collect();
         let batch: Vec<(Query, Vec<ProviderId>)> =
@@ -866,18 +421,8 @@ mod tests {
             assert_eq!(allocation.selected, vec![ProviderId::new(0)]);
         }
         assert_eq!(state.allocations(), 3);
-
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            let n = notices.lock().len();
-            let r = results.lock().len();
-            if (n == 6 && r == 3) || Instant::now() > deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(notices.lock().len(), 6, "2 candidates × 3 queries");
-        assert_eq!(results.lock().len(), 3);
+        assert_eq!(notices.lock().unwrap().len(), 6, "2 candidates × 3 queries");
+        assert_eq!(results.lock().unwrap().len(), 3);
     }
 
     #[test]

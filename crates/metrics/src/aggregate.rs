@@ -5,11 +5,9 @@
 //! sets are handled explicitly: the mean of an empty set is `0`, its
 //! fairness is `1` (a vacuously fair allocation) and its balance is `1`.
 
-use serde::{Deserialize, Serialize};
-
 /// The characteristic `g` being aggregated. Used by the experiment harness
 /// to label measurement series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// Adequation `δa` (Section 3.1.1 / 3.2.1).
     Adequation,

@@ -6,7 +6,6 @@
 //! [`InteractionMemory`] is the fixed-capacity ring buffer backing every
 //! such window.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A fixed-capacity FIFO memory of `f64` observations with O(1) incremental
@@ -14,7 +13,7 @@ use std::collections::VecDeque;
 ///
 /// Pushing beyond the capacity evicts the oldest observation, so the memory
 /// always reflects the `k` most recent interactions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InteractionMemory {
     capacity: usize,
     values: VecDeque<f64>,

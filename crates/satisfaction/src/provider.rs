@@ -1,6 +1,5 @@
 //! Provider characterization (Section 3.2).
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::Intention;
 
 use crate::memory::InteractionMemory;
@@ -25,7 +24,7 @@ use crate::{allocation_satisfaction, unit_observation};
 /// intentions for the public view or preferences for the provider's private
 /// view (the private view is what Definition 8 uses to balance preferences
 /// against utilization).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProviderTracker {
     /// Shown values of every proposed query (performed or not), bounded
     /// by the proposed window, with the performed flag packed into the

@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
 use sqlb_agents::{ConsumerDepartureRule, PopulationConfig, ProviderDepartureRule};
 use sqlb_baselines::{CapacityBased, MariposaLike, RandomAllocator, RoundRobinAllocator};
 use sqlb_core::{AllocationMethod, SqlbAllocator};
@@ -10,7 +9,7 @@ use crate::routing::RoutingPolicyKind;
 use crate::workload::WorkloadPattern;
 
 /// The allocation method under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// The paper's contribution: Satisfaction-based Query Load Balancing.
     Sqlb,
@@ -62,7 +61,7 @@ impl Method {
 
 /// Which mediation backend the engine gathers intentions through.
 ///
-/// All four backends ask the *same* agents the *same* questions in the
+/// All three backends ask the *same* agents the *same* questions in the
 /// same per-participant order, so a run's report is bit-identical across
 /// them for a given seed — pinned by the cross-backend digest tests and
 /// the `report_digest` binary. What changes is the machinery:
@@ -80,17 +79,13 @@ impl Method {
 /// .unwrap();
 /// assert_eq!(inline.digest(), reactor.digest());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MediationMode {
     /// Intentions are computed by direct in-process calls on the arrival
     /// hot path — no mediation layer at all. The fastest backend and the
     /// default (the paper's evaluation substrate).
     #[default]
     Inline,
-    /// Every arrival forks one OS thread per participant request and
-    /// waits for the replies until a real deadline — the legacy
-    /// thread-per-participant model, kept as the comparison backend.
-    Threaded,
     /// Every arrival runs as one wave of the asynchronous mediation
     /// reactor: participant endpoints are polled state machines on a
     /// single event loop with per-endpoint deadline tracking
@@ -110,7 +105,6 @@ impl MediationMode {
     pub fn name(self) -> &'static str {
         match self {
             MediationMode::Inline => "inline",
-            MediationMode::Threaded => "threaded",
             MediationMode::Reactor => "reactor",
             MediationMode::Socket => "socket",
         }
@@ -118,7 +112,7 @@ impl MediationMode {
 }
 
 /// Full configuration of one simulation run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimulationConfig {
     /// Population (participants, classes, preferences).
     pub population: PopulationConfig,
@@ -167,8 +161,7 @@ pub struct SimulationConfig {
     /// provider. Keeps migration from thrashing on noise.
     pub migration_min_spread: f64,
     /// Which mediation backend gathers intentions (inline calls, the
-    /// legacy threaded runtime, the asynchronous reactor, or the socket
-    /// transport). Reports are bit-identical across backends for a given
+    /// asynchronous reactor, or the socket transport). Reports are bit-identical across backends for a given
     /// seed.
     pub mediation: MediationMode,
     /// Number of loopback participant-host connections the socket
@@ -190,7 +183,6 @@ pub struct SimulationConfig {
     /// bit-identical same-seed reports: chunking is a pure function of
     /// the batch length, each chunk writes a disjoint region of the score
     /// column, and ties still break on the lowest provider id.
-    #[serde(default = "default_scoring_threads")]
     pub scoring_threads: usize,
     /// Whether the socket backend coalesces every query arrival landing
     /// on the same virtual instant into one multi-query mediation wave
@@ -204,16 +196,14 @@ pub struct SimulationConfig {
     /// stays engaged — least-loaded K=1 runs keep the batched fan-out).
     /// Ignored by the in-process backends, which have no framing cost to
     /// amortize.
-    #[serde(default = "default_socket_wave_coalescing")]
     pub socket_wave_coalescing: bool,
-    /// Wave deadline of the mediated backends (threaded runtime, reactor
-    /// and socket transport), in milliseconds: replies that miss it
+    /// Wave deadline of the mediated backends (reactor and socket
+    /// transport), in milliseconds: replies that miss it
     /// degrade to indifference. The default (5000 ms) is far beyond any
     /// loopback reply latency, so it never fires in fault-free runs;
     /// scenario campaigns that stall hosts lower it so each stalled wave
     /// pays a short, bounded penalty instead of five wall-clock seconds.
     /// Ignored by the inline backend, which has no wire to time out.
-    #[serde(default = "default_wave_timeout_ms")]
     pub wave_timeout_ms: u64,
     /// Whether runtime observability (`sqlb-obs`) is enabled: counters,
     /// latency histograms and the structured flight recorder, threaded
@@ -222,33 +212,7 @@ pub struct SimulationConfig {
     /// on a `None`, so fault-free hot-path behaviour and same-seed
     /// digests are identical either way (pinned by the
     /// `observability` integration tests).
-    #[serde(default)]
     pub observability: bool,
-}
-
-/// Serde default for [`SimulationConfig::scoring_threads`], so configs
-/// serialized before the knob existed deserialize to the sequential
-/// scorer. (The vendored serde stub ignores the attribute; this matters
-/// only under the real crate, so outside tests the function is unused.)
-#[allow(dead_code)]
-fn default_scoring_threads() -> usize {
-    1
-}
-
-/// Serde default for [`SimulationConfig::socket_wave_coalescing`]: configs
-/// serialized before the knob existed deserialize to the coalescing
-/// behaviour, matching the constructors.
-#[allow(dead_code)]
-fn default_socket_wave_coalescing() -> bool {
-    true
-}
-
-/// Serde default for [`SimulationConfig::wave_timeout_ms`]: configs
-/// serialized before the knob existed deserialize to the historical
-/// 5-second deadline.
-#[allow(dead_code)]
-fn default_wave_timeout_ms() -> u64 {
-    5_000
 }
 
 impl SimulationConfig {
@@ -460,9 +424,9 @@ impl SimulationConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), SqlbError> {
         self.population.validate()?;
-        if self.duration_secs <= 0.0 {
+        if !is_positive_finite(self.duration_secs) {
             return Err(SqlbError::InvalidConfig {
-                reason: "simulation duration must be positive".into(),
+                reason: "simulation duration must be positive and finite".into(),
             });
         }
         if self.query_n == 0 {
@@ -470,9 +434,11 @@ impl SimulationConfig {
                 reason: "q.n must be at least 1".into(),
             });
         }
-        if self.sample_interval_secs <= 0.0 || self.assessment_interval_secs <= 0.0 {
+        if !is_positive_finite(self.sample_interval_secs)
+            || !is_positive_finite(self.assessment_interval_secs)
+        {
             return Err(SqlbError::InvalidConfig {
-                reason: "sampling and assessment intervals must be positive".into(),
+                reason: "sampling and assessment intervals must be positive and finite".into(),
             });
         }
         if self.mediator_shards == 0 {
@@ -488,14 +454,14 @@ impl SimulationConfig {
                 ),
             });
         }
-        if self.sync_interval_secs <= 0.0 {
+        if !is_positive_finite(self.sync_interval_secs) {
             return Err(SqlbError::InvalidConfig {
-                reason: "the shard synchronization interval must be positive".into(),
+                reason: "the shard synchronization interval must be positive and finite".into(),
             });
         }
-        if self.rebalance_interval_secs <= 0.0 {
+        if !is_positive_finite(self.rebalance_interval_secs) {
             return Err(SqlbError::InvalidConfig {
-                reason: "the rebalance interval must be positive".into(),
+                reason: "the rebalance interval must be positive and finite".into(),
             });
         }
         if !self.migration_min_spread.is_finite() || self.migration_min_spread < 0.0 {
@@ -520,6 +486,13 @@ impl SimulationConfig {
         }
         Ok(())
     }
+}
+
+/// Whether a duration or interval is usable as a virtual-time span: a
+/// NaN or infinite value would never end a run or would collapse into a
+/// time-0 event, and both fail a plain `<= 0.0` test.
+fn is_positive_finite(secs: f64) -> bool {
+    secs.is_finite() && secs > 0.0
 }
 
 #[cfg(test)]
@@ -606,9 +579,6 @@ mod tests {
             assert!(!c.observability, "observability is off by default");
             assert!(c.with_observability(true).observability);
         }
-        assert_eq!(super::default_scoring_threads(), 1);
-        assert!(super::default_socket_wave_coalescing());
-        assert_eq!(super::default_wave_timeout_ms(), 5_000);
     }
 
     #[test]
@@ -637,7 +607,6 @@ mod tests {
         assert_eq!(c.mediation, MediationMode::Reactor);
         assert!(c.validate().is_ok());
         assert_eq!(MediationMode::Inline.name(), "inline");
-        assert_eq!(MediationMode::Threaded.name(), "threaded");
         assert_eq!(MediationMode::Reactor.name(), "reactor");
         assert_eq!(MediationMode::Socket.name(), "socket");
         assert_eq!(MediationMode::default(), MediationMode::Inline);
@@ -664,6 +633,24 @@ mod tests {
         let mut c = SimulationConfig::scaled(10, 20, 100.0, 0);
         c.duration_secs = 0.0;
         assert!(c.validate().is_err());
+
+        // NaN and infinities pass a plain `<= 0.0` test; every duration
+        // and interval must reject them.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let base = SimulationConfig::scaled(10, 20, 100.0, 0);
+            let setters: [fn(&mut SimulationConfig, f64); 5] = [
+                |c, v| c.duration_secs = v,
+                |c, v| c.sample_interval_secs = v,
+                |c, v| c.assessment_interval_secs = v,
+                |c, v| c.sync_interval_secs = v,
+                |c, v| c.rebalance_interval_secs = v,
+            ];
+            for (field, set) in setters.iter().enumerate() {
+                let mut c = base;
+                set(&mut c, bad);
+                assert!(c.validate().is_err(), "field {field} accepted {bad}");
+            }
+        }
 
         let mut c = SimulationConfig::scaled(10, 20, 100.0, 0);
         c.query_n = 0;

@@ -31,9 +31,7 @@ use rand::{Rng, SeedableRng};
 use sqlb_agents::Population;
 use sqlb_core::allocation::{CandidateInfo, MediatorView, SelectionSet};
 use sqlb_core::mediator_state::MediatorStateConfig;
-use sqlb_mediation::{
-    run_wave_threaded, IntentionWave, Latency, ProviderAnswer, Reactor, RuntimeConfig,
-};
+use sqlb_mediation::{IntentionWave, Latency, ProviderAnswer, Reactor, RuntimeConfig};
 use sqlb_metrics::{fairness, mean, spread, Histogram, Summary, TimeSeries};
 use sqlb_obs::{Counter as ObsCounter, EventKind, Histogram as ObsHistogram, Obs};
 use sqlb_reputation::ReputationStore;
@@ -71,6 +69,33 @@ struct ArrivalScratch {
     selected_indices: Vec<usize>,
     /// Id-sorted index over the allocation's selected providers.
     selection: SelectionSet,
+}
+
+/// The candidate set `P_q` of a query of `class` routed to `shard`: the
+/// shard's provider list, optionally narrowed by capability matchmaking
+/// to the providers whose declared capabilities cover the class. An
+/// empty filtered set falls back to the whole shard — a query must not be
+/// dropped while capable-ish providers remain (documented fall-back of
+/// the opt-in mode). Takes the simulator's fields separately so the
+/// borrowed slice leaves the rest of the simulator usable, and the
+/// per-arrival path allocates nothing.
+fn candidate_set<'a>(
+    router: &'a ShardRouter,
+    matchmaker: Option<&ClassMatchmaker>,
+    filtered: &'a mut Vec<ProviderId>,
+    shard: usize,
+    class: QueryClass,
+) -> &'a [ProviderId] {
+    let shard_providers = router.providers_of_shard(shard);
+    let Some(matchmaker) = matchmaker else {
+        return shard_providers;
+    };
+    intersect_sorted(shard_providers, matchmaker.matching(class), filtered);
+    if filtered.is_empty() {
+        shard_providers
+    } else {
+        filtered
+    }
 }
 
 /// Pre-resolved engine-level observability instruments (`sqlb-obs`).
@@ -242,16 +267,12 @@ impl WaveConditions {
 }
 
 /// The mediation backend the engine gathers intentions through — the
-/// runtime realization of [`MediationMode`]. All four backends ask the
+/// runtime realization of [`MediationMode`]. All three backends ask the
 /// same agents the same questions in the same per-participant order, so
 /// reports are bit-identical across them for a given seed.
 enum MediationDriver {
     /// Direct in-process calls on the arrival hot path (the default).
     Inline,
-    /// One scoped OS thread per participant request, per arrival — the
-    /// legacy thread-per-participant model, kept as the comparison
-    /// backend.
-    Threaded,
     /// The asynchronous reactor: the engine registers every participant
     /// as a polled endpoint at start-up, deregisters it on departure, and
     /// runs each arrival's gather as one reactor wave.
@@ -264,14 +285,14 @@ enum MediationDriver {
     Socket(Box<SocketMediator>),
 }
 
-/// One arrival of a coalesced socket wave, prepared (drawn, routed,
-/// candidates resolved) but not yet mediated or allocated.
+/// One arrival of a socket wave, prepared (drawn, routed, candidates
+/// resolved) but not yet mediated or allocated.
 struct PreparedArrival {
     query: Query,
     shard: usize,
     /// The candidate set `P_q`, owned: the socket path clones it into
-    /// the wave request anyway, and the batch outlives the borrow the
-    /// per-arrival path gets away with.
+    /// the wave request anyway, and a batch outlives the borrow the
+    /// in-process backends get away with.
     candidates: Vec<ProviderId>,
 }
 
@@ -442,7 +463,6 @@ impl Simulator {
         let wave_timeout = Duration::from_millis(config.wave_timeout_ms);
         let mediation = match config.mediation {
             MediationMode::Inline => MediationDriver::Inline,
-            MediationMode::Threaded => MediationDriver::Threaded,
             MediationMode::Reactor => {
                 // The engine drives the reactor: every participant is
                 // registered as a polled endpoint up front (a lightweight
@@ -769,122 +789,41 @@ impl Simulator {
     }
 
     fn handle_arrival(&mut self) {
-        // The socket backend coalesces every arrival landing on this same
-        // virtual instant into one multi-query wave (when the knob is on
-        // and routing is load-blind — a load-reactive policy reads
-        // allocation state between arrivals, so its runs stay strictly
-        // sequential. With a single shard, though, every route is shard 0
-        // no matter what the policy observes, so least-loaded K = 1 runs
-        // keep the batched fan-out instead of needlessly degrading to one
-        // wave per arrival).
-        if matches!(self.mediation, MediationDriver::Socket(_))
-            && self.config.socket_wave_coalescing
-            && (!self.routing.reacts_to_load() || self.router.shard_count() == 1)
-        {
+        if matches!(self.mediation, MediationDriver::Socket(_)) {
             return self.handle_socket_arrivals();
         }
-
-        // Always keep the arrival process alive (its rate follows the
-        // workload pattern and the number of remaining consumers).
-        self.schedule_next_arrival();
-
-        // The active-consumer index presents the surviving consumers in
-        // ascending id order — the same sequence the per-arrival
-        // filter-and-collect used to produce, so the random draw picks the
-        // same consumer for the same seed.
-        let consumers = self.population.active_consumer_ids();
-        if consumers.is_empty() {
-            return;
-        }
-        let consumer = consumers[self.rng.random_range(0..consumers.len())];
-        let class = if self.rng.random_bool(0.5) {
-            QueryClass::Light
-        } else {
-            QueryClass::Heavy
-        };
-        let mut query = Query::single(QueryId::new(self.next_query_id), consumer, class, self.now);
-        query.n = self.config.query_n;
-        if self.matchmaker.is_some() {
-            // Capability matchmaking matches on the description topic;
-            // tag the query with its class topic so providers' declared
-            // class capabilities can cover it.
-            query.description.topic = class_topic(class);
-        }
-        self.next_query_id = self.next_query_id.wrapping_add(1);
-        self.issued += 1;
-        self.metrics.queries_issued.inc();
-
-        // Route the query to its mediator shard; the candidate set is the
-        // providers that shard owns. Routing is deterministic (a pure
-        // function of the consumer id and the observed per-shard load), so
-        // a mono-mediator run consumes exactly the same random stream as
-        // the pre-sharding engine. A query is only unallocated when *no*
-        // shard has an active provider left: departures can empty one
-        // shard while the system still has capacity, in which case the
-        // query falls over to the next non-empty shard (deterministically,
-        // so runs stay reproducible).
-        let preferred = self.routing.route(
-            consumer,
-            &self.router,
-            ShardLoadView {
-                backlog: &self.shard_backlog,
-                capacity: &self.shard_capacity,
-            },
-        );
-        let Some(shard) = self.first_shard_with_candidates(preferred) else {
-            self.unallocated += 1;
-            self.metrics.queries_unallocated.inc();
+        let Some((query, shard)) = self.draw_and_route() else {
             return;
         };
+        let consumer = query.consumer;
 
         // Gather intentions (Algorithm 1, lines 2–5) into the reusable
         // arena. The consumer's intentions come from its preferences (and
         // provider reputation); each provider's intention balances its
         // preference for the query class against its current utilization
         // (computed once and reused for the mediator's view of `Ut(p)`).
-        // The mediated backends run the exact same per-participant
-        // computations, only multiplexed through a mediation wave instead
-        // of direct calls — which is why reports are bit-identical across
-        // backends for a given seed.
+        // The reactor runs the exact same per-participant computations,
+        // only multiplexed through a mediation wave instead of direct
+        // calls — which is why reports are bit-identical across backends
+        // for a given seed.
+        //
         // The transport-fault seam: the condition of every loopback host
         // for a wave issued at this instant (all-healthy outside scenario
-        // fault windows), plus the wire-fault plan when the wave really
-        // crosses sockets. A fault models the *reply* going missing, not
+        // fault windows). A fault models the *reply* going missing, not
         // the work: every backend degrades a faulted host's answers to
         // the same indifference the wave timeout semantics fabricate.
-        // (Resolved before the candidate set borrows the router.)
         let conditions = self.wave_conditions();
-        let fault_plan = if matches!(self.mediation, MediationDriver::Socket(_)) {
-            self.socket_fault_plan()
-        } else {
-            Vec::new()
-        };
-
-        // The candidate set `P_q`: the shard's provider list, optionally
-        // narrowed by capability matchmaking to the providers whose
-        // declared capabilities cover the query's description. An empty
-        // filtered set falls back to the whole shard — a query must not
-        // be dropped while capable-ish providers remain (documented
-        // fall-back of the opt-in mode).
-        let shard_providers = self.router.providers_of_shard(shard);
-        let candidates: &[ProviderId] = match &self.matchmaker {
-            None => shard_providers,
-            Some(matchmaker) => {
-                let matching = matchmaker.matching(query.class());
-                intersect_sorted(shard_providers, matching, &mut self.scratch.candidates);
-                if self.scratch.candidates.is_empty() {
-                    shard_providers
-                } else {
-                    &self.scratch.candidates
-                }
-            }
-        };
+        let candidates = candidate_set(
+            &self.router,
+            self.matchmaker.as_ref(),
+            &mut self.scratch.candidates,
+            shard,
+            query.class(),
+        );
 
         let uses_bids = self.method_kind.uses_bids();
         let now = self.now;
-        let wave_timeout = Duration::from_millis(self.config.wave_timeout_ms);
         let mut fabricated = 0u64;
-        let mut wire_timeouts = 0u64;
         match &mut self.mediation {
             MediationDriver::Inline => {
                 let consumer_agent = &self.population.consumers[consumer];
@@ -928,60 +867,7 @@ impl Simulator {
                     infos.push(info);
                 }
             }
-            MediationDriver::Socket(socket) => {
-                // One wave over real loopback sockets: the request is
-                // framed, fanned out by the wave server, decoded by the
-                // participant-host threads, and answered by jobs that
-                // compute the same Definition 7/8 values as the other
-                // backends — on the *decoded* queries, so the reply
-                // derives from the bytes that actually travelled.
-                let consumer_agent = &self.population.consumers[consumer];
-                let reputation = &self.reputation;
-                let mut jobs = WaveJobs::new();
-                jobs.consumer(consumer, move |decoded| {
-                    decoded
-                        .iter()
-                        .map(|(q, cands)| {
-                            (
-                                q.id,
-                                cands
-                                    .iter()
-                                    .map(|&p| (p, consumer_agent.intention_for(q, p, reputation)))
-                                    .collect(),
-                            )
-                        })
-                        .collect()
-                });
-                for (p, agent) in self.population.providers.iter_mut_of(candidates) {
-                    jobs.provider(p, move |decoded, request_bids| {
-                        decoded
-                            .iter()
-                            .map(|q| {
-                                let (intention, utilization) =
-                                    agent.intention_and_utilization(q, now);
-                                ProviderAnswer {
-                                    query: q.id,
-                                    intention,
-                                    utilization,
-                                    bid: request_bids.then(|| agent.bid_for(q, now)),
-                                }
-                            })
-                            .collect()
-                    });
-                }
-                let requests = [(query.clone(), candidates.to_vec())];
-                let gathered = socket.gather_with_faults(&requests, jobs, &fault_plan);
-                // The wave's wire timeouts (delta of the accumulated
-                // total): the unified indifference accounting below
-                // treats them exactly like the indifference the
-                // in-process backends fabricate.
-                wire_timeouts = socket.timed_out_total() - self.socket_timeouts_seen;
-                self.socket_timeouts_seen = socket.timed_out_total();
-                let infos = &mut self.scratch.infos;
-                infos.clear();
-                infos.extend(gathered.into_iter().flatten());
-            }
-            driver => {
+            MediationDriver::Reactor(reactor) => {
                 // One wave: a batched intention request to the issuing
                 // consumer (covering all candidates) and one request per
                 // candidate provider, with per-endpoint deadline tracking.
@@ -1028,13 +914,7 @@ impl Simulator {
                     });
                 }
 
-                let replies = match driver {
-                    MediationDriver::Threaded => run_wave_threaded(wave, wave_timeout),
-                    MediationDriver::Reactor(reactor) => reactor.run_wave(wave),
-                    MediationDriver::Inline | MediationDriver::Socket(_) => {
-                        unreachable!("inline and socket are handled above")
-                    }
-                };
+                let replies = reactor.run_wave(wave);
 
                 // Assemble the wave's replies through the shared helper
                 // (replies keyed by (query, provider), indifference filled
@@ -1046,18 +926,18 @@ impl Simulator {
                 infos.clear();
                 infos.extend(gathered.into_iter().flatten());
             }
+            MediationDriver::Socket(_) => {
+                unreachable!("socket arrivals are mediated by handle_socket_arrivals")
+            }
         }
+        // The in-process backends fabricate the indifference of faulted
+        // hosts; the socket backend credits real wire timeouts instead
+        // (see `mediate_socket_batch`).
         if fabricated > 0 {
             if let Some(state) = &mut self.scenario {
                 state.fault_indifference += fabricated;
             }
-        }
-        // Unified across backends: at most one of the two sources is
-        // non-zero (the socket backend counts real wire timeouts, the
-        // in-process ones the indifference they fabricate).
-        let degraded = fabricated + wire_timeouts;
-        if degraded > 0 {
-            self.note_degraded_wave(u64::from(query.id.raw()), degraded);
+            self.note_degraded_wave(u64::from(query.id.raw()), fabricated);
         }
 
         self.allocate_and_record(&query, shard);
@@ -1145,11 +1025,18 @@ impl Simulator {
         }
     }
 
-    /// The socket backend's coalesced arrival handler: prepares the
-    /// arrival at hand plus every further arrival scheduled for this same
-    /// virtual instant (popping them off the event queue in their normal
-    /// order), and mediates them as *one* socket wave — one frame
-    /// fan-out, one reply collection — instead of one wave each.
+    /// The socket backend's arrival handler: prepares the arrival at
+    /// hand and, when coalescing is engaged, every further arrival
+    /// scheduled for this same virtual instant (popping them off the event
+    /// queue in their normal order), and mediates them as *one* socket
+    /// wave — one frame fan-out, one reply collection — instead of one
+    /// wave each. Without coalescing the batch is the single arrival.
+    ///
+    /// Coalescing needs the knob on and load-blind routing: a
+    /// load-reactive policy reads allocation state between arrivals, so
+    /// its runs stay strictly sequential. With a single shard, though,
+    /// every route is shard 0 no matter what the policy observes, so
+    /// least-loaded K = 1 runs keep the batched fan-out.
     ///
     /// Bit-identity with the sequential path is preserved by
     /// construction. Preparation (the arrival-process reschedule and the
@@ -1163,14 +1050,18 @@ impl Simulator {
     /// mutually independent. Allocation then runs per query, in arrival
     /// order, exactly like the sequential path.
     fn handle_socket_arrivals(&mut self) {
+        let coalesce = self.config.socket_wave_coalescing
+            && (!self.routing.reacts_to_load() || self.router.shard_count() == 1);
         let mut batch: Vec<PreparedArrival> = Vec::new();
         if let Some(first) = self.prepare_arrival() {
             batch.push(first);
         }
-        while matches!(
-            self.queue.peek(),
-            Some((time, Event::QueryArrival)) if time == self.now
-        ) {
+        while coalesce
+            && matches!(
+                self.queue.peek(),
+                Some((time, Event::QueryArrival)) if time == self.now
+            )
+        {
             self.queue.pop();
             let Some(prepared) = self.prepare_arrival() else {
                 continue;
@@ -1189,15 +1080,20 @@ impl Simulator {
         }
     }
 
-    /// The per-arrival work that precedes mediation, shared wording with
-    /// the sequential path (see [`Simulator::handle_arrival`]): reschedule
-    /// the arrival process, draw the consumer and query class, route to a
-    /// shard and resolve the candidate set. Returns `None` when no
-    /// consumer or no provider-bearing shard remains (the arrival is
-    /// counted exactly as the sequential path counts it).
-    fn prepare_arrival(&mut self) -> Option<PreparedArrival> {
+    /// The per-arrival work that precedes mediation: reschedule the
+    /// arrival process, draw the consumer and the query class, and route
+    /// the query to a shard. Returns `None` when no consumer or no
+    /// provider-bearing shard remains (an unroutable query is counted as
+    /// unallocated).
+    fn draw_and_route(&mut self) -> Option<(Query, usize)> {
+        // Always keep the arrival process alive (its rate follows the
+        // workload pattern and the number of remaining consumers).
         self.schedule_next_arrival();
 
+        // The active-consumer index presents the surviving consumers in
+        // ascending id order — the same sequence the per-arrival
+        // filter-and-collect used to produce, so the random draw picks the
+        // same consumer for the same seed.
         let consumers = self.population.active_consumer_ids();
         if consumers.is_empty() {
             return None;
@@ -1211,12 +1107,24 @@ impl Simulator {
         let mut query = Query::single(QueryId::new(self.next_query_id), consumer, class, self.now);
         query.n = self.config.query_n;
         if self.matchmaker.is_some() {
+            // Capability matchmaking matches on the description topic;
+            // tag the query with its class topic so providers' declared
+            // class capabilities can cover it.
             query.description.topic = class_topic(class);
         }
         self.next_query_id = self.next_query_id.wrapping_add(1);
         self.issued += 1;
         self.metrics.queries_issued.inc();
 
+        // Route the query to its mediator shard; the candidate set is the
+        // providers that shard owns. Routing is deterministic (a pure
+        // function of the consumer id and the observed per-shard load), so
+        // a mono-mediator run consumes exactly the same random stream as
+        // the pre-sharding engine. A query is only unallocated when *no*
+        // shard has an active provider left: departures can empty one
+        // shard while the system still has capacity, in which case the
+        // query falls over to the next non-empty shard (deterministically,
+        // so runs stay reproducible).
         let preferred = self.routing.route(
             consumer,
             &self.router,
@@ -1230,19 +1138,21 @@ impl Simulator {
             self.metrics.queries_unallocated.inc();
             return None;
         };
-        let shard_providers = self.router.providers_of_shard(shard);
-        let candidates = match &self.matchmaker {
-            None => shard_providers.to_vec(),
-            Some(matchmaker) => {
-                let matching = matchmaker.matching(query.class());
-                intersect_sorted(shard_providers, matching, &mut self.scratch.candidates);
-                if self.scratch.candidates.is_empty() {
-                    shard_providers.to_vec()
-                } else {
-                    self.scratch.candidates.clone()
-                }
-            }
-        };
+        Some((query, shard))
+    }
+
+    /// [`Simulator::draw_and_route`] plus an owned copy of the candidate
+    /// set, for the socket backend's batches.
+    fn prepare_arrival(&mut self) -> Option<PreparedArrival> {
+        let (query, shard) = self.draw_and_route()?;
+        let candidates = candidate_set(
+            &self.router,
+            self.matchmaker.as_ref(),
+            &mut self.scratch.candidates,
+            shard,
+            query.class(),
+        )
+        .to_vec();
         Some(PreparedArrival {
             query,
             shard,
@@ -1250,10 +1160,15 @@ impl Simulator {
         })
     }
 
-    /// Mediates one coalesced batch as a single socket wave, then
-    /// allocates each query of the batch in arrival order. The batch
-    /// invariant (distinct consumers, distinct shards — hence disjoint
-    /// candidate sets) is established by [`Simulator::handle_socket_arrivals`].
+    /// Mediates one batch as a single wave over real loopback sockets,
+    /// then allocates each query of the batch in arrival order. The
+    /// request is framed, fanned out by the wave server, decoded by the
+    /// participant-host threads, and answered by jobs that compute the
+    /// same Definition 7/8 values as the in-process backends — on the
+    /// *decoded* queries, so the replies derive from the bytes that
+    /// actually travelled. The batch invariant (distinct consumers,
+    /// distinct shards — hence disjoint candidate sets) is established by
+    /// [`Simulator::handle_socket_arrivals`].
     fn mediate_socket_batch(&mut self, batch: Vec<PreparedArrival>) {
         let now = self.now;
         let fault_plan = self.socket_fault_plan();
@@ -1272,7 +1187,7 @@ impl Simulator {
         all_candidates.sort_unstable();
 
         let MediationDriver::Socket(socket) = &mut self.mediation else {
-            unreachable!("the coalescing path is entered only on the socket backend");
+            unreachable!("socket batches are mediated only on the socket backend");
         };
         let reputation = &self.reputation;
         let mut jobs = WaveJobs::new();
@@ -1313,11 +1228,14 @@ impl Simulator {
             });
         }
         let gathered = socket.gather_with_faults(&requests, jobs, &fault_plan);
+        // The wave's wire timeouts (delta of the accumulated total),
+        // credited exactly like the indifference the in-process backends
+        // fabricate.
         let wire_timeouts = socket.timed_out_total() - self.socket_timeouts_seen;
         self.socket_timeouts_seen = socket.timed_out_total();
         if wire_timeouts > 0 {
-            // One coalesced wave, one degraded-wave credit — stamped
-            // with the first query of the batch.
+            // One wave, one degraded-wave credit — stamped with the first
+            // query of the batch.
             self.note_degraded_wave(u64::from(batch[0].query.id.raw()), wire_timeouts);
         }
         for (arrival, infos) in batch.iter().zip(gathered) {
@@ -2514,28 +2432,20 @@ mod tests {
 
     #[test]
     fn every_mediation_backend_reproduces_the_same_run_bit_for_bit() {
-        // The acceptance bar for the reactor rewrite: routing the gather
-        // step through the threaded runtime or the asynchronous reactor
-        // must not change a single bit of the report — the backends ask
-        // the same agents the same questions in the same order.
+        // Routing the gather step through the asynchronous reactor or the
+        // socket transport must not change a single bit of the report —
+        // the backends ask the same agents the same questions in the same
+        // order.
         let config = small_config(150.0, 9).with_workload(WorkloadPattern::Fixed(0.6));
         let inline = run_simulation(config, Method::Sqlb).unwrap();
-        let threaded = run_simulation(
-            config.with_mediation(crate::MediationMode::Threaded),
-            Method::Sqlb,
-        )
-        .unwrap();
-        let reactor = run_simulation(
-            config.with_mediation(crate::MediationMode::Reactor),
-            Method::Sqlb,
-        )
-        .unwrap();
-        assert_eq!(inline.digest(), threaded.digest());
-        assert_eq!(inline.digest(), reactor.digest());
-        assert_eq!(
-            inline.series.utilization_mean.values(),
-            reactor.series.utilization_mean.values()
-        );
+        for mode in [crate::MediationMode::Reactor, crate::MediationMode::Socket] {
+            let mediated = run_simulation(config.with_mediation(mode), Method::Sqlb).unwrap();
+            assert_eq!(inline.digest(), mediated.digest(), "{}", mode.name());
+            assert_eq!(
+                inline.series.utilization_mean.values(),
+                mediated.series.utilization_mean.values()
+            );
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   variants), the [`config::Method`] selector for the allocation method
 //!   under test and the [`config::MediationMode`] selector for the
 //!   mediation backend intentions are gathered through (inline calls, the
-//!   legacy threaded runtime, the asynchronous reactor, or the loopback
-//!   socket transport — bit-identical reports either way);
+//!   asynchronous reactor, or the loopback socket transport —
+//!   bit-identical reports either way);
 //! * [`workload`] — workload patterns (fixed or ramping fraction of the
 //!   total system capacity) and the Poisson arrival process;
 //! * [`events`] — the event queue of the discrete-event engine;

@@ -19,7 +19,6 @@
 //! index, so a run's routing sequence is a pure function of observed state
 //! and the seed, never of map iteration order.
 
-use serde::{Deserialize, Serialize};
 use sqlb_types::{ConsumerId, StableId};
 
 use crate::shard::ShardRouter;
@@ -155,7 +154,7 @@ impl RoutingPolicy for LeastLoadedRouting {
 /// let report = run_simulation(config, Method::Sqlb).unwrap();
 /// assert_eq!(report.routing_policy, "least-loaded");
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RoutingPolicyKind {
     /// [`StaticRouting`]: `consumer % K`.
     #[default]

@@ -27,7 +27,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sqlb_types::{ProviderId, SimTime, SqlbError};
 
 use crate::config::SimulationConfig;
@@ -35,7 +34,7 @@ use crate::config::SimulationConfig;
 /// A multiplicative reshaping of the base arrival rate over virtual
 /// time. Modifiers compose by multiplication ([`Scenario::rate_factor_at`]),
 /// so a diurnal cycle and a flash crowd can overlap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalModifier {
     /// A diurnal sine: factor `1 + amplitude · sin(2π · now / period)`.
     Diurnal {
@@ -120,7 +119,7 @@ impl ArrivalModifier {
 /// mediator registers the provider fresh. Under both policies the
 /// utilization window and outstanding backlog are kept — work already
 /// accepted is physical state and does not vanish with the bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejoinPolicy {
     /// Satisfaction history continues where it left off (the default).
     Resume,
@@ -130,7 +129,7 @@ pub enum RejoinPolicy {
 
 /// A correlated churn group: a fraction of the providers that leaves
 /// together and optionally re-joins together.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnGroup {
     /// Fraction of the initial provider population in the group,
     /// `(0, 1]`. Membership is drawn from the scenario's seeded RNG at
@@ -153,7 +152,7 @@ pub struct ChurnGroup {
 /// degrade the host's replies to indifference — so Inline and Reactor
 /// runs of a fault scenario stay digest-identical while the Socket run
 /// exercises the genuine wire-level misbehavior.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TransportFault {
     /// The host answers nothing in waves issued within
     /// `[from_secs, until_secs)`: each such wave pays the deadline and
@@ -207,7 +206,7 @@ impl TransportFault {
 /// A named, declarative scenario: arrival reshaping, correlated churn
 /// and transport faults, compiled into the engine's event queue at
 /// start-up so same-seed runs stay bit-identical.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The scenario's name (campaign entries are keyed by it).
     pub name: String,

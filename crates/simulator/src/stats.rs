@@ -1,6 +1,5 @@
 //! Measurement collection and the simulation report.
 
-use serde::{Deserialize, Serialize};
 use sqlb_agents::{DepartureReason, ProviderProfile};
 use sqlb_metrics::{Histogram, Summary, TimeSeries};
 use sqlb_types::{ConsumerId, ProviderId};
@@ -8,7 +7,7 @@ use sqlb_types::{ConsumerId, ProviderId};
 /// All metric time series recorded during a run. Each series is sampled at
 /// the configured sampling interval over the *active* (non-departed)
 /// participants, which is what the paper's Figure 4 plots.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricSeries {
     /// Figure 4(a): providers' satisfaction mean, based on intentions
     /// ("what a query allocation method can see").
@@ -58,7 +57,7 @@ pub struct MetricSeries {
 }
 
 /// A provider departure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DepartureRecord {
     /// The provider that left.
     pub provider: ProviderId,
@@ -71,7 +70,7 @@ pub struct DepartureRecord {
 }
 
 /// One cross-shard provider migration performed by a rebalancing round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationRecord {
     /// The provider that moved.
     pub provider: ProviderId,
@@ -96,7 +95,7 @@ pub struct MigrationRecord {
 }
 
 /// A consumer departure (always by dissatisfaction in the paper's model).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsumerDepartureRecord {
     /// The consumer that left.
     pub consumer: ConsumerId,
@@ -105,7 +104,7 @@ pub struct ConsumerDepartureRecord {
 }
 
 /// The outcome of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationReport {
     /// Display name of the allocation method under test.
     pub method: String,
@@ -155,30 +154,25 @@ pub struct SimulationReport {
     /// setup with no scenario attached). Descriptive only — not part of
     /// [`SimulationReport::digest`], whose fixed series list keeps
     /// digests comparable across report-schema revisions.
-    #[serde(default)]
     pub scenario: String,
     /// Providers taken out by scenario churn groups. Kept separate from
     /// [`SimulationReport::provider_departures`]: churn is injected, not
     /// a behavioral outcome, so Table-3-style retention metrics stay
     /// clean (the digest still reflects churn through the
     /// `active_providers` series).
-    #[serde(default)]
     pub churn_departures: u64,
     /// Providers brought back by scenario churn groups.
-    #[serde(default)]
     pub churn_rejoins: u64,
     /// Mediation replies degraded to indifference by the run's transport
     /// (missed wave deadlines, dead connections) or modeled as such by
     /// the in-process fault hooks. Zero in fault-free runs on every
     /// backend.
-    #[serde(default)]
     pub indifferent_replies: u64,
     /// Mediation waves that completed with at least one reply degraded
     /// to indifference — the wave-granular companion of
     /// [`SimulationReport::indifferent_replies`] (one degraded wave may
     /// account for many indifferent replies). Diagnostic only: like the
     /// scenario name, it is not folded into [`SimulationReport::digest`].
-    #[serde(default)]
     pub degraded_waves: u64,
 }
 

@@ -8,10 +8,9 @@
 //! experiments use a fixed fraction per run.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the workload fraction evolves over the simulated time horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadPattern {
     /// A constant fraction of the total system capacity.
     Fixed(f64),

@@ -3,7 +3,7 @@
 //! [`ParticipantHost`] is the client-side library a deployment links
 //! into each participant process. It multiplexes any number of consumer
 //! and provider endpoints (the same [`ConsumerEndpoint`] /
-//! [`ProviderEndpoint`] traits the in-process runtimes use) over a
+//! [`ProviderEndpoint`] traits the in-process reactor uses) over a
 //! single TCP or Unix-domain connection to a [`crate::WaveServer`]:
 //! one socket per host, not per endpoint, which is what lets a handful
 //! of connections carry tens of thousands of endpoints.
@@ -14,9 +14,9 @@
 //! marker is also a flow-control contract: the host keeps reading while
 //! the server keeps writing, so neither side can block the other into a
 //! deadlock on full socket buffers.) Endpoint latency hooks are
-//! honoured the way the threaded runtime models them: `After` sleeps
-//! before the reply, `Never` sends none — the server reads the silence
-//! as indifference when the wave deadline passes.
+//! honoured in wall-clock time: `After` sleeps before the reply, `Never`
+//! sends none — the server reads the silence as indifference when the
+//! wave deadline passes.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};

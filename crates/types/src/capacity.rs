@@ -10,7 +10,6 @@
 //! high-capacity provider delivers 100 units/s, so the 130/150-unit query
 //! classes take ≈1.3 s and ≈1.5 s on it (Section 6.1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -19,7 +18,7 @@ use crate::error::SqlbError;
 use crate::time::SimDuration;
 
 /// An amount of work, in abstract treatment units (non-negative).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct WorkUnits(f64);
 
 impl WorkUnits {
@@ -89,7 +88,7 @@ impl fmt::Display for WorkUnits {
 }
 
 /// A provider's capacity, in work units per second (strictly positive).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Capacity(f64);
 
 impl Capacity {
@@ -165,7 +164,7 @@ impl fmt::Display for Capacity {
 /// can process; values above `1.0` indicate overload. The paper's Figure 2
 /// plots provider intentions for utilizations up to `2.0`, and the departure
 /// rule of Section 6.3.2 triggers at `2.2 ×` the optimal utilization.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Utilization(f64);
 
 impl Utilization {

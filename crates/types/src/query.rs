@@ -5,7 +5,6 @@
 //! matchmaking procedure) and `q.n ∈ N*` is the number of providers to which
 //! the consumer wishes to allocate its query.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::capacity::WorkUnits;
@@ -19,7 +18,7 @@ use crate::time::SimTime;
 /// respectively, 130 and 150 treatment units at the high-capacity providers"
 /// (Section 6.1). The enum is open-ended through [`QueryClass::Custom`] so
 /// that other workloads can be expressed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryClass {
     /// The paper's light query class (130 treatment units).
     Light,
@@ -77,7 +76,7 @@ impl fmt::Display for QueryClass {
 /// `topic` and on required `attributes`; the workload generator additionally
 /// tags every description with its [`QueryClass`] and treatment cost so the
 /// simulator can model processing times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryDescription {
     /// Topic of the task (e.g. `"shipping/international"`).
     pub topic: String,
@@ -133,7 +132,7 @@ impl Default for QueryDescription {
 
 /// A query `q = <c, d, n>` (Section 2), extended with an identifier and the
 /// virtual time at which it was issued (needed to measure response times).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Unique identifier of this query.
     pub id: QueryId,

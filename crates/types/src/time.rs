@@ -5,18 +5,17 @@
 //! [`SimDuration`] newtypes so arithmetic mistakes between instants and
 //! durations are caught at compile time.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// An instant of virtual time, in seconds since the start of the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct SimTime(f64);
 
 /// A span of virtual time, in seconds (always non-negative).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct SimDuration(f64);
 
 impl SimTime {

@@ -1,22 +1,21 @@
-//! Live mediation: Algorithm 1 over real threads, then over the reactor.
+//! Live mediation: Algorithm 1 over the asynchronous reactor.
 //!
 //! The simulator drives agents synchronously for reproducibility, but the
-//! framework also ships two concurrent mediation backends
-//! (`sqlb-mediation`): the legacy thread-per-participant runtime, in
-//! which every consumer and provider runs on its own thread and the
-//! mediator *forks* intention requests, *waits until* the answers arrive
-//! *or a timeout* elapses — exactly the structure of Algorithm 1 — and
-//! the asynchronous reactor, which drives the same endpoints as polled
-//! state machines on one event loop over a virtual clock, scaling one
-//! host to tens of thousands of endpoints.
+//! framework also ships a concurrent mediation backend
+//! (`sqlb-mediation`): consumers and providers are independent endpoints,
+//! and the mediator *forks* intention requests, *waits until* the answers
+//! arrive *or a timeout* elapses — exactly the structure of Algorithm 1.
+//! The reactor drives the endpoints as polled state machines on one event
+//! loop over a virtual clock, scaling one host to tens of thousands of
+//! endpoints: endpoints declare their reply latency instead of sleeping,
+//! and the whole round costs microseconds of wall time no matter the
+//! timeout.
 //!
 //! Run with: `cargo run --example live_mediation`
 
 use std::time::Duration;
 
-use sqlb::mediation::{
-    AsyncMediator, ConsumerEndpoint, Latency, MediationRuntime, ProviderEndpoint, RuntimeConfig,
-};
+use sqlb::mediation::{AsyncMediator, ConsumerEndpoint, Latency, ProviderEndpoint, RuntimeConfig};
 use sqlb::prelude::*;
 
 /// A consumer that likes providers with an even identifier.
@@ -39,123 +38,8 @@ impl ConsumerEndpoint for ParityConsumer {
     }
 }
 
-/// A provider whose eagerness decreases with its identifier, and that takes
-/// some time to answer.
-struct SlowProvider {
-    id: u32,
-    answer_delay: Duration,
-}
-
-impl ProviderEndpoint for SlowProvider {
-    fn intention(&mut self, _query: &Query) -> f64 {
-        std::thread::sleep(self.answer_delay);
-        1.0 - self.id as f64 * 0.2
-    }
-
-    fn allocation_notice(&mut self, query: QueryId, selected: bool) {
-        if selected {
-            println!("  provider p{}: I will perform query {query}", self.id);
-        }
-    }
-}
-
-fn main() {
-    let mut runtime = MediationRuntime::new(RuntimeConfig {
-        timeout: Duration::from_millis(100),
-        request_bids: false,
-    });
-
-    runtime.register_consumer(ConsumerId::new(0), ParityConsumer);
-    for id in 0..5u32 {
-        runtime.register_provider(
-            ProviderId::new(id),
-            SlowProvider {
-                id,
-                // Provider p4 is too slow and will miss the deadline: its
-                // intention is read as indifference.
-                answer_delay: if id == 4 {
-                    Duration::from_millis(500)
-                } else {
-                    Duration::from_millis(5)
-                },
-            },
-        );
-    }
-
-    let mut method = SqlbAllocator::new();
-    let mut state = MediatorState::paper_default();
-    let candidates: Vec<ProviderId> = (0..5).map(ProviderId::new).collect();
-
-    println!(
-        "== Live mediation over {} provider threads ==",
-        candidates.len()
-    );
-    for i in 0..3u32 {
-        let query = Query::single(
-            QueryId::new(i),
-            ConsumerId::new(0),
-            QueryClass::Light,
-            SimTime::ZERO,
-        );
-        let allocation = runtime.mediate(&query, &candidates, &mut method, &mut state);
-        println!(
-            "mediator: query {} -> {} (best score {:+.3})",
-            query.id,
-            allocation.selected[0],
-            allocation
-                .ranking
-                .first()
-                .map(|r| r.score)
-                .unwrap_or(f64::NAN)
-        );
-        // Give the asynchronous notifications a moment to print.
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    println!("\np4 never wins despite being eager: its answers miss the 100 ms deadline,");
-    println!("so the mediator treats it as indifferent — Algorithm 1's timeout at work.");
-
-    // The same protocol on the asynchronous reactor: endpoints declare
-    // their latency instead of sleeping, the event loop advances a
-    // virtual clock, and the whole round costs microseconds of wall time
-    // no matter the timeout.
-    let mut reactor = AsyncMediator::new(RuntimeConfig {
-        timeout: Duration::from_millis(100),
-        request_bids: false,
-    });
-    reactor.register_consumer(ConsumerId::new(0), ParityConsumer);
-    for id in 0..5u32 {
-        reactor.register_provider(
-            ProviderId::new(id),
-            ModelledProvider {
-                id,
-                latency: if id == 4 {
-                    Latency::Never // partitioned: degrades at the deadline
-                } else {
-                    Latency::After(Duration::from_millis(5))
-                },
-            },
-        );
-    }
-    println!("\n== The same mediation on the reactor (virtual time) ==");
-    let query = Query::single(
-        QueryId::new(100),
-        ConsumerId::new(0),
-        QueryClass::Light,
-        SimTime::ZERO,
-    );
-    let allocation = reactor.mediate(&query, &candidates, &mut method, &mut state);
-    let round = reactor.reactor().last_round();
-    println!(
-        "mediator: query {} -> {} ({} answered, {} timed out, virtual round {:?})",
-        query.id, allocation.selected[0], round.answered, round.timed_out, round.virtual_elapsed,
-    );
-    println!("p4's silence was detected at exactly the 100 ms virtual deadline,");
-    println!("without any thread ever sleeping.");
-}
-
 /// A provider whose eagerness decreases with its identifier and whose
-/// reply latency is *modelled* (reactor) rather than slept (threads).
+/// reply latency is modelled on the reactor's virtual clock.
 struct ModelledProvider {
     id: u32,
     latency: Latency,
@@ -175,4 +59,64 @@ impl ProviderEndpoint for ModelledProvider {
             println!("  provider p{}: I will perform query {query}", self.id);
         }
     }
+}
+
+fn main() {
+    let mut mediator = AsyncMediator::new(RuntimeConfig {
+        timeout: Duration::from_millis(100),
+        request_bids: false,
+    });
+    mediator.register_consumer(ConsumerId::new(0), ParityConsumer);
+    for id in 0..5u32 {
+        mediator.register_provider(
+            ProviderId::new(id),
+            ModelledProvider {
+                id,
+                // Provider p4 is too slow and will miss the deadline: its
+                // intention is read as indifference.
+                latency: if id == 4 {
+                    Latency::After(Duration::from_millis(500))
+                } else {
+                    Latency::After(Duration::from_millis(5))
+                },
+            },
+        );
+    }
+
+    let mut method = SqlbAllocator::new();
+    let mut state = MediatorState::paper_default();
+    let candidates: Vec<ProviderId> = (0..5).map(ProviderId::new).collect();
+
+    println!(
+        "== Live mediation over {} provider endpoints (virtual time) ==",
+        candidates.len()
+    );
+    for i in 0..3u32 {
+        let query = Query::single(
+            QueryId::new(i),
+            ConsumerId::new(0),
+            QueryClass::Light,
+            SimTime::ZERO,
+        );
+        let allocation = mediator.mediate(&query, &candidates, &mut method, &mut state);
+        let round = mediator.reactor().last_round();
+        println!(
+            "mediator: query {} -> {} (best score {:+.3}; {} answered, {} timed out, virtual round {:?})",
+            query.id,
+            allocation.selected[0],
+            allocation
+                .ranking
+                .first()
+                .map(|r| r.score)
+                .unwrap_or(f64::NAN),
+            round.answered,
+            round.timed_out,
+            round.virtual_elapsed,
+        );
+    }
+
+    println!("\np4 never wins despite being eager: its answers miss the 100 ms deadline,");
+    println!("so the mediator treats it as indifferent — Algorithm 1's timeout at work.");
+    println!("The silence was detected at exactly the 100 ms virtual deadline,");
+    println!("without any thread ever sleeping.");
 }

@@ -23,7 +23,7 @@
 //! | [`core`] | intention functions, scoring, Algorithm 1, the SQLB allocator |
 //! | [`baselines`] | Capacity based, Mariposa-like, Random, Round-robin |
 //! | [`agents`] | consumer/provider agents, utilization, departures, populations |
-//! | [`mediation`] | concurrent mediation runtime (fork / waituntil / timeout) |
+//! | [`mediation`] | asynchronous mediation reactor and wire protocol (fork / waituntil / timeout) |
 //! | [`transport`] | socket-backed mediation: TCP/UDS wave server and participant hosts |
 //! | [`sim`] | discrete-event simulator and per-figure experiment drivers |
 //!

@@ -1,13 +1,12 @@
 //! Integration test wiring real agent logic (crate `sqlb-agents`) to the
-//! concurrent mediation runtime (crate `sqlb-mediation`): consumers and
-//! providers computing Definition 7/8 intentions on their own threads,
-//! Algorithm 1 running over channels with a timeout.
+//! asynchronous mediation reactor (crate `sqlb-mediation`): consumers and
+//! providers computing Definition 7/8 intentions as independent
+//! endpoints, Algorithm 1 running over reactor waves with a timeout.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use sqlb::mediation::{ConsumerEndpoint, MediationRuntime, ProviderEndpoint, RuntimeConfig};
+use sqlb::mediation::{AsyncMediator, ConsumerEndpoint, Latency, ProviderEndpoint, RuntimeConfig};
 use sqlb::prelude::*;
 
 /// A consumer endpoint backed by a real [`ConsumerAgent`].
@@ -33,17 +32,20 @@ struct AgentProvider {
 
 impl ProviderEndpoint for AgentProvider {
     fn intention(&mut self, query: &Query) -> f64 {
-        self.agent.lock().intention_for(query, SimTime::ZERO)
+        self.agent
+            .lock()
+            .unwrap()
+            .intention_for(query, SimTime::ZERO)
     }
 
     fn bid(&mut self, query: &Query) -> Option<Bid> {
-        Some(self.agent.lock().bid_for(query, SimTime::ZERO))
+        Some(self.agent.lock().unwrap().bid_for(query, SimTime::ZERO))
     }
 
     fn allocation_notice(&mut self, _query: QueryId, selected: bool) {
         // Record the proposal on the provider's own trackers; the shown
         // intention is re-derived from its preference (idle provider).
-        let mut agent = self.agent.lock();
+        let mut agent = self.agent.lock().unwrap();
         let query = Query::single(
             QueryId::new(0),
             ConsumerId::new(0),
@@ -64,8 +66,14 @@ struct SlowAgentProvider {
 
 impl ProviderEndpoint for SlowAgentProvider {
     fn intention(&mut self, query: &Query) -> f64 {
-        std::thread::sleep(self.delay);
-        self.agent.lock().intention_for(query, SimTime::ZERO)
+        self.agent
+            .lock()
+            .unwrap()
+            .intention_for(query, SimTime::ZERO)
+    }
+
+    fn latency(&mut self) -> Latency {
+        Latency::After(self.delay)
     }
 }
 
@@ -82,12 +90,12 @@ fn agents_mediate_over_threads_and_update_their_satisfaction() {
         .map(|p| Arc::new(Mutex::new(p.clone())))
         .collect();
 
-    let mut runtime = MediationRuntime::new(RuntimeConfig {
+    let mut mediator = AsyncMediator::new(RuntimeConfig {
         timeout: Duration::from_millis(500),
         request_bids: false,
     });
     let consumer_agent = population.consumers[ConsumerId::new(0)].clone();
-    runtime.register_consumer(
+    mediator.register_consumer(
         consumer_agent.id(),
         AgentConsumer {
             agent: consumer_agent.clone(),
@@ -95,8 +103,8 @@ fn agents_mediate_over_threads_and_update_their_satisfaction() {
         },
     );
     for provider in &providers {
-        let id = provider.lock().id();
-        runtime.register_provider(
+        let id = provider.lock().unwrap().id();
+        mediator.register_provider(
             id,
             AgentProvider {
                 agent: provider.clone(),
@@ -104,7 +112,7 @@ fn agents_mediate_over_threads_and_update_their_satisfaction() {
         );
     }
 
-    let candidates: Vec<ProviderId> = providers.iter().map(|p| p.lock().id()).collect();
+    let candidates: Vec<ProviderId> = providers.iter().map(|p| p.lock().unwrap().id()).collect();
     let mut method = SqlbAllocator::new();
     let mut state = MediatorState::paper_default();
 
@@ -120,7 +128,7 @@ fn agents_mediate_over_threads_and_update_their_satisfaction() {
             },
             SimTime::ZERO,
         );
-        let allocation = runtime.mediate(&query, &candidates, &mut method, &mut state);
+        let allocation = mediator.mediate(&query, &candidates, &mut method, &mut state);
         assert_eq!(allocation.selected.len(), 1);
         selected_counts[allocation.selected[0].index()] += 1;
     }
@@ -150,26 +158,26 @@ fn agents_mediate_over_threads_and_update_their_satisfaction() {
         );
     }
 
-    // Wait for the asynchronous allocation notices to land, then check the
-    // selected providers saw their satisfaction move away from the initial
-    // value.
-    std::thread::sleep(Duration::from_millis(100));
-    let any_updated = providers.iter().any(|p| p.lock().proposed_queries() > 0);
+    // Notices are delivered synchronously: every candidate saw every
+    // proposal, so its satisfaction moved away from the initial value.
+    let all_updated = providers
+        .iter()
+        .all(|p| p.lock().unwrap().proposed_queries() == 30);
     assert!(
-        any_updated,
-        "allocation notices should reach the provider agents"
+        all_updated,
+        "allocation notices should reach every provider agent"
     );
 }
 
 #[test]
 fn mariposa_over_the_runtime_uses_real_bids() {
     let population = population();
-    let mut runtime = MediationRuntime::new(RuntimeConfig {
+    let mut mediator = AsyncMediator::new(RuntimeConfig {
         timeout: Duration::from_millis(500),
         request_bids: true,
     });
     let consumer_agent = population.consumers[ConsumerId::new(0)].clone();
-    runtime.register_consumer(
+    mediator.register_consumer(
         consumer_agent.id(),
         AgentConsumer {
             agent: consumer_agent.clone(),
@@ -177,7 +185,7 @@ fn mariposa_over_the_runtime_uses_real_bids() {
         },
     );
     for provider in population.providers.values() {
-        runtime.register_provider(
+        mediator.register_provider(
             provider.id(),
             AgentProvider {
                 agent: Arc::new(Mutex::new(provider.clone())),
@@ -185,7 +193,7 @@ fn mariposa_over_the_runtime_uses_real_bids() {
         );
     }
     let candidates: Vec<ProviderId> = population.providers.values().map(|p| p.id()).collect();
-    let infos = runtime.gather(
+    let infos = mediator.gather(
         &Query::single(
             QueryId::new(0),
             consumer_agent.id(),
@@ -198,7 +206,7 @@ fn mariposa_over_the_runtime_uses_real_bids() {
 
     let mut broker = MariposaLike::new();
     let mut state = MediatorState::paper_default();
-    let allocation = runtime.mediate(
+    let allocation = mediator.mediate(
         &Query::single(
             QueryId::new(1),
             consumer_agent.id(),
@@ -212,19 +220,19 @@ fn mariposa_over_the_runtime_uses_real_bids() {
     assert_eq!(allocation.selected.len(), 1);
 }
 
-/// Builds a runtime over real agents where provider 0 is fast and provider
-/// 1 is slower than the configured timeout.
-fn runtime_with_slow_provider(
+/// Builds a mediator over real agents where provider 0 is fast and
+/// provider 1 answers later than the configured timeout.
+fn mediator_with_slow_provider(
     timeout: Duration,
     slow_delay: Duration,
-) -> (MediationRuntime, ConsumerAgent, Vec<ProviderId>) {
+) -> (AsyncMediator, ConsumerAgent, Vec<ProviderId>) {
     let population = population();
-    let mut runtime = MediationRuntime::new(RuntimeConfig {
+    let mut mediator = AsyncMediator::new(RuntimeConfig {
         timeout,
         request_bids: false,
     });
     let consumer_agent = population.consumers[ConsumerId::new(0)].clone();
-    runtime.register_consumer(
+    mediator.register_consumer(
         consumer_agent.id(),
         AgentConsumer {
             agent: consumer_agent.clone(),
@@ -234,20 +242,20 @@ fn runtime_with_slow_provider(
     let candidates: Vec<ProviderId> = population.providers.keys().take(2).collect();
     let fast = population.providers[candidates[0]].clone();
     let slow = population.providers[candidates[1]].clone();
-    runtime.register_provider(
+    mediator.register_provider(
         candidates[0],
         AgentProvider {
             agent: Arc::new(Mutex::new(fast)),
         },
     );
-    runtime.register_provider(
+    mediator.register_provider(
         candidates[1],
         SlowAgentProvider {
             agent: Arc::new(Mutex::new(slow)),
             delay: slow_delay,
         },
     );
-    (runtime, consumer_agent, candidates)
+    (mediator, consumer_agent, candidates)
 }
 
 #[test]
@@ -255,15 +263,15 @@ fn slow_provider_falls_back_to_indifference_on_the_single_query_path() {
     // Algorithm 1, line 5: answers missing at the timeout are treated as
     // indifference (intention 0). The fast provider's real intention and
     // the consumer's intentions must still come through.
-    let (runtime, consumer_agent, candidates) =
-        runtime_with_slow_provider(Duration::from_millis(80), Duration::from_millis(600));
+    let (mut mediator, consumer_agent, candidates) =
+        mediator_with_slow_provider(Duration::from_millis(80), Duration::from_millis(600));
     let query = Query::single(
         QueryId::new(1),
         consumer_agent.id(),
         QueryClass::Light,
         SimTime::ZERO,
     );
-    let infos = runtime.gather(&query, &candidates);
+    let infos = mediator.gather(&query, &candidates);
     assert_eq!(infos.len(), 2);
     let expected_fast = {
         let population = population();
@@ -287,11 +295,11 @@ fn slow_provider_falls_back_to_indifference_on_the_single_query_path() {
 
 #[test]
 fn slow_provider_falls_back_to_indifference_on_the_batched_path() {
-    // Same fallback on the batched entry point: one round-trip per
+    // Same fallback on the batched entry point: one request per
     // participant serves the whole batch, and the slow provider's missing
     // batch reply zeroes its intention for every query of the batch.
-    let (runtime, consumer_agent, candidates) =
-        runtime_with_slow_provider(Duration::from_millis(80), Duration::from_millis(600));
+    let (mut mediator, consumer_agent, candidates) =
+        mediator_with_slow_provider(Duration::from_millis(80), Duration::from_millis(600));
     let batch: Vec<(Query, Vec<ProviderId>)> = (0..4)
         .map(|i| {
             (
@@ -309,7 +317,7 @@ fn slow_provider_falls_back_to_indifference_on_the_batched_path() {
             )
         })
         .collect();
-    let infos = runtime.gather_batch(&batch);
+    let infos = mediator.gather_batch(&batch);
     assert_eq!(infos.len(), 4);
     for (i, per_query) in infos.iter().enumerate() {
         assert!(
@@ -329,7 +337,7 @@ fn slow_provider_falls_back_to_indifference_on_the_batched_path() {
     // The whole mediation still goes through and allocates every query.
     let mut method = SqlbAllocator::new();
     let mut state = MediatorState::paper_default();
-    let allocations = runtime.mediate_batch(&batch, &mut method, &mut state);
+    let allocations = mediator.mediate_batch(&batch, &mut method, &mut state);
     assert_eq!(allocations.len(), 4);
     for allocation in &allocations {
         assert_eq!(allocation.selected.len(), 1);

@@ -5,7 +5,7 @@
 //!
 //! 1. **Digest bit-identity.** Same-seed runs produce bit-identical
 //!    report digests with instrumentation enabled and disabled, on every
-//!    mediation backend (inline, threaded, reactor, socket). The obs
+//!    mediation backend (inline, reactor, socket). The obs
 //!    layer hangs off the engine's existing accounting — it never rolls
 //!    the RNG, never touches satisfaction state, and its counters are
 //!    resolved once up front — so the digest cannot move.
@@ -20,9 +20,8 @@ use sqlb::obs::Obs;
 use sqlb::sim::engine::{run_simulation, Simulator};
 use sqlb::sim::{MediationMode, Method, SimulationConfig};
 
-const BACKENDS: [MediationMode; 4] = [
+const BACKENDS: [MediationMode; 3] = [
     MediationMode::Inline,
-    MediationMode::Threaded,
     MediationMode::Reactor,
     MediationMode::Socket,
 ];
