@@ -5,7 +5,9 @@ use std::sync::Arc;
 use sqlb_core::intention::{consumer_intention, IntentionParams};
 use sqlb_reputation::ReputationStore;
 use sqlb_satisfaction::{consumer_query_outcome, ConsumerTracker};
-use sqlb_types::{ConsumerId, Preference, ProviderId, Query};
+use sqlb_types::{ConsumerId, ParticipantTable, Preference, ProviderId, Query};
+
+use crate::population::InterestClass;
 
 /// Configuration of a consumer agent.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,11 +51,13 @@ enum PreferenceTable {
     /// (`values[p.index()] = prf_c(·, p)`).
     Dense(Vec<f64>),
     /// Hash-derived values, uniform in the provider's interest-class
-    /// preference range. The range column is shared by every consumer of
-    /// the population (one `(lo, hi)` pair per provider, total O(P)).
+    /// preference range. The class column is shared by every consumer of
+    /// the population (one byte per provider, total O(P)), keyed by
+    /// provider id in whatever layout the population stores its
+    /// providers in.
     Procedural {
         seed: u64,
-        ranges: Arc<[(f64, f64)]>,
+        interests: Arc<ParticipantTable<ProviderId, InterestClass>>,
     },
 }
 
@@ -88,19 +92,19 @@ impl ConsumerAgent {
     }
 
     /// Creates a consumer whose preferences are derived on demand from
-    /// `seed` and the shared per-provider interest-class range column,
-    /// instead of being materialized — O(1) memory per consumer at any
-    /// provider count.
+    /// `seed` and the shared per-provider interest-class column, instead
+    /// of being materialized — O(1) memory per consumer at any provider
+    /// count. A provider absent from the column is treated neutrally.
     pub fn procedural(
         id: ConsumerId,
         seed: u64,
-        ranges: Arc<[(f64, f64)]>,
+        interests: Arc<ParticipantTable<ProviderId, InterestClass>>,
         config: ConsumerConfig,
     ) -> Self {
         ConsumerAgent {
             id,
             config,
-            preferences: PreferenceTable::Procedural { seed, ranges },
+            preferences: PreferenceTable::Procedural { seed, interests },
             tracker: ConsumerTracker::new(config.memory, config.initial_satisfaction),
             departed: false,
         }
@@ -120,11 +124,15 @@ impl ConsumerAgent {
     /// (`prf_c(q, p)`; the paper's evaluation uses per-provider rather than
     /// per-query preferences). Providers outside the table get a neutral
     /// preference.
+    #[inline]
     pub fn preference_for(&self, provider: ProviderId) -> Preference {
         let value = match &self.preferences {
             PreferenceTable::Dense(values) => values.get(provider.index()).copied().unwrap_or(0.0),
-            PreferenceTable::Procedural { seed, ranges } => match ranges.get(provider.index()) {
-                Some(&(lo, hi)) => lo + preference_unit(*seed, self.id, provider) * (hi - lo),
+            PreferenceTable::Procedural { seed, interests } => match interests.get(provider) {
+                Some(class) => {
+                    let (lo, hi) = class.preference_range();
+                    lo + preference_unit(*seed, self.id, provider) * (hi - lo)
+                }
                 None => 0.0,
             },
         };
@@ -313,15 +321,20 @@ mod tests {
 
     #[test]
     fn procedural_preferences_are_stable_in_range_and_seeded() {
-        let ranges: Arc<[(f64, f64)]> = vec![(0.34, 1.0), (-1.0, -0.54), (-0.54, 0.34)].into();
+        let classes = [
+            InterestClass::High,
+            InterestClass::Low,
+            InterestClass::Medium,
+        ];
+        let interests = Arc::new(ParticipantTable::from_values(classes));
         let a = ConsumerAgent::procedural(
             ConsumerId::new(3),
             7,
-            Arc::clone(&ranges),
+            Arc::clone(&interests),
             ConsumerConfig::default(),
         );
         for p in 0..3u32 {
-            let (lo, hi) = ranges[p as usize];
+            let (lo, hi) = classes[p as usize].preference_range();
             let v = a.preference_for(ProviderId::new(p)).value();
             assert!(v >= lo && v < hi, "preference {v} outside [{lo}, {hi})");
             // Pure function of (seed, consumer, provider): stable across
@@ -339,16 +352,17 @@ mod tests {
         let b = ConsumerAgent::procedural(
             ConsumerId::new(3),
             7,
-            Arc::clone(&ranges),
+            Arc::clone(&interests),
             ConsumerConfig::default(),
         );
         let c = ConsumerAgent::procedural(
             ConsumerId::new(3),
             8,
-            Arc::clone(&ranges),
+            Arc::clone(&interests),
             ConsumerConfig::default(),
         );
-        let d = ConsumerAgent::procedural(ConsumerId::new(4), 7, ranges, ConsumerConfig::default());
+        let d =
+            ConsumerAgent::procedural(ConsumerId::new(4), 7, interests, ConsumerConfig::default());
         let p0 = ProviderId::new(0);
         assert_eq!(
             a.preference_for(p0).value().to_bits(),

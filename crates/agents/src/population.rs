@@ -252,8 +252,27 @@ pub struct Population {
 }
 
 impl Population {
-    /// Generates a population from a configuration.
+    /// Generates a population from a configuration, with every table in
+    /// id order.
     pub fn generate(config: &PopulationConfig) -> Result<Population, SqlbError> {
+        Population::generate_shard_major(config, 1)
+    }
+
+    /// Generates the same population as [`Population::generate`], with
+    /// the provider agents stored shard-major for `shards` mediator
+    /// shards: the providers a shard owns (`id mod shards`) sit in one
+    /// contiguous block (see [`ParticipantTable::residue_major_from_fn`]),
+    /// so a shard's candidates share pages and cache lines instead of
+    /// lying `shards` agents apart. Every draw, value and iteration order
+    /// is unchanged; `shards == 1` is exactly [`Population::generate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shards` is zero.
+    pub fn generate_shard_major(
+        config: &PopulationConfig,
+        shards: usize,
+    ) -> Result<Population, SqlbError> {
         config.validate()?;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let n = config.providers as usize;
@@ -297,37 +316,43 @@ impl Population {
             })
             .collect();
 
-        let providers: Vec<ProviderAgent> = profiles
+        // The preference draws stay in id order (the seeded stream is
+        // part of the population); the agents are then built straight
+        // into their storage slots, which are shard-major.
+        let inputs: Vec<(Capacity, [f64; 2])> = profiles
             .iter()
-            .enumerate()
-            .map(|(i, profile)| {
+            .map(|profile| {
                 let (lo, hi) = profile.adaptation.preference_range();
-                let class_preferences = vec![
-                    Preference::new(rng.random_range(lo..=hi)),
-                    Preference::new(rng.random_range(lo..=hi)),
-                ];
-                ProviderAgent::new(
-                    ProviderId::new(i as u32),
-                    profile.capacity.capacity(),
-                    class_preferences,
-                    config.provider_config,
-                )
+                let mut draw = || Preference::new(rng.random_range(lo..=hi)).value();
+                (profile.capacity.capacity(), [draw(), draw()])
             })
             .collect();
+        let providers = ParticipantTable::residue_major_from_fn(n, shards, |id: ProviderId| {
+            let (capacity, class_preferences) = inputs[id.index()];
+            ProviderAgent::with_class_preferences(
+                id,
+                capacity,
+                class_preferences,
+                config.provider_config,
+            )
+        });
 
         let consumers: Vec<ConsumerAgent> = if config.procedural_preferences {
-            // One shared range column for the whole population; every
-            // consumer derives each preference on demand.
-            let ranges: std::sync::Arc<[(f64, f64)]> = profiles
-                .iter()
-                .map(|profile| profile.interest.preference_range())
-                .collect();
+            // One shared interest-class column for the whole population;
+            // every consumer derives each preference on demand. It is
+            // read once per candidate, so it shares the agents'
+            // shard-major layout.
+            let interests = std::sync::Arc::new(ParticipantTable::residue_major_from_fn(
+                n,
+                shards,
+                |id: ProviderId| profiles[id.index()].interest,
+            ));
             (0..config.consumers)
                 .map(|c| {
                     ConsumerAgent::procedural(
                         ConsumerId::new(c),
                         config.seed,
-                        std::sync::Arc::clone(&ranges),
+                        std::sync::Arc::clone(&interests),
                         config.consumer_config,
                     )
                 })
@@ -351,7 +376,7 @@ impl Population {
             active_consumers: (0..config.consumers).map(ConsumerId::new).collect(),
             active_providers: (0..config.providers).map(ProviderId::new).collect(),
             consumers: ParticipantTable::from_values(consumers),
-            providers: ParticipantTable::from_values(providers),
+            providers,
             profiles: ParticipantTable::from_values(profiles),
         })
     }
@@ -444,11 +469,14 @@ impl Population {
     }
 
     /// Total system capacity: the aggregate capacity of all providers, in
-    /// work units per second.
+    /// work units per second. Summed in id order over the providers'
+    /// capacity classes, which fix each agent's capacity: the id-ordered
+    /// profile column is a short sequential read, where the shard-major
+    /// agent table would be read at a stride of one block.
     pub fn total_capacity(&self) -> f64 {
-        self.providers
+        self.profiles
             .values()
-            .map(|p| p.capacity().units_per_sec())
+            .map(|p| p.capacity.capacity().units_per_sec())
             .sum()
     }
 
@@ -621,6 +649,44 @@ mod tests {
         }
         let c = Population::generate(&PopulationConfig::scaled(10, 30, 100)).unwrap();
         assert_ne!(a.profiles, c.profiles);
+    }
+
+    #[test]
+    fn shard_major_generation_builds_the_same_agents() {
+        for procedural in [false, true] {
+            let mut config = PopulationConfig::scaled(6, 50, 21);
+            config.procedural_preferences = procedural;
+            let reference = Population::generate(&config).unwrap();
+            for shards in [1, 3, 16, 50] {
+                let pop = Population::generate_shard_major(&config, shards).unwrap();
+                assert_eq!(pop.provider_count(), 50);
+                assert_eq!(pop.profiles, reference.profiles);
+                assert!(pop.providers.keys().eq(reference.providers.keys()));
+                for ((id, agent), (_, expected)) in
+                    pop.providers.iter().zip(reference.providers.iter())
+                {
+                    assert_eq!(agent.id(), id, "agent stored under its own id");
+                    assert_eq!(agent.capacity(), expected.capacity());
+                    for class in [QueryClass::Light, QueryClass::Heavy] {
+                        assert_eq!(
+                            agent.preference_for(class).value().to_bits(),
+                            expected.preference_for(class).value().to_bits()
+                        );
+                    }
+                }
+                let read = |pop: &Population| {
+                    pop.consumers[ConsumerId::new(4)]
+                        .preference_for(ProviderId::new(37))
+                        .value()
+                        .to_bits()
+                };
+                assert_eq!(read(&pop), read(&reference));
+                assert_eq!(
+                    pop.total_capacity().to_bits(),
+                    reference.total_capacity().to_bits()
+                );
+            }
+        }
     }
 
     #[test]

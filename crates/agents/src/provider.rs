@@ -113,7 +113,18 @@ impl ProviderAgent {
             "providers hold preferences for the Light and Heavy classes only"
         );
         let preference = |i: usize| class_preferences.get(i).map_or(0.0, |p| p.value());
-        let class_preferences = [preference(0), preference(1)];
+        ProviderAgent::with_class_preferences(id, capacity, [preference(0), preference(1)], config)
+    }
+
+    /// [`ProviderAgent::new`] over the Light and Heavy preference values
+    /// directly, without the `Vec` — population generation builds every
+    /// provider through it.
+    pub(crate) fn with_class_preferences(
+        id: ProviderId,
+        capacity: Capacity,
+        class_preferences: [f64; 2],
+        config: ProviderConfig,
+    ) -> Self {
         ProviderAgent {
             id,
             config,

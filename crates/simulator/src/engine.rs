@@ -426,10 +426,19 @@ impl Simulator {
         if let Some(scenario) = scenario {
             scenario.validate(&config)?;
         }
-        let population = Population::generate(&config.population)?;
+        // Shard-major agent storage: each shard's providers (`id mod K`,
+        // the router's round-robin partition) sit in one contiguous
+        // block, so an arrival's candidates are neighbours in memory.
+        let population =
+            Population::generate_shard_major(&config.population, config.mediator_shards)?;
         let total_capacity = population.total_capacity();
         let initial_consumers = population.consumers.len();
         let initial_providers = population.providers.len();
+        // Every generated provider is active, so the active index lists
+        // the table's keys in the same ascending order — as a compact
+        // id column instead of a walk over the agent table.
+        let provider_ids = population.active_provider_ids();
+        debug_assert_eq!(provider_ids.len(), initial_providers);
         let state_config = MediatorStateConfig {
             consumer_window: config.population.consumer_config.memory,
             provider_proposed_window: config.population.provider_config.proposed_memory,
@@ -441,7 +450,7 @@ impl Simulator {
             method,
             config.seed,
             state_config,
-            population.providers.keys(),
+            provider_ids.iter().copied(),
         );
         router.set_scoring_threads(config.scoring_threads);
 
@@ -474,7 +483,7 @@ impl Simulator {
                 for id in population.consumers.keys() {
                     reactor.register_consumer(id, Latency::Immediate);
                 }
-                for id in population.providers.keys() {
+                for &id in provider_ids {
                     reactor.register_provider(id, Latency::Immediate);
                 }
                 reactor.set_obs(&obs);
@@ -491,7 +500,7 @@ impl Simulator {
                         request_bids: method.uses_bids(),
                     },
                     population.consumers.keys(),
-                    population.providers.keys(),
+                    provider_ids.iter().copied(),
                 )
                 .map_err(|e| SqlbError::InvalidConfig {
                     reason: format!("socket mediation bring-up failed: {e}"),
@@ -514,8 +523,7 @@ impl Simulator {
         // own random streams are untouched), schedules are frozen as
         // virtual times.
         let scenario = scenario.map(|s| {
-            let providers: Vec<ProviderId> = population.providers.keys().collect();
-            let compiled = s.compile(config.seed, &providers);
+            let compiled = s.compile(config.seed, provider_ids);
             ScenarioState {
                 description: s.clone(),
                 departed_members: vec![Vec::new(); compiled.groups.len()],
@@ -893,10 +901,10 @@ impl Simulator {
                             .collect(),
                     )]
                 });
-                // The shard's candidate list is ascending, so the table
-                // hands out one disjoint `&mut` per candidate agent in
-                // O(candidates) — the wave never walks the rest of the
-                // population.
+                // The table hands out one disjoint `&mut` per candidate
+                // agent in O(candidates) — the wave never walks the rest
+                // of the population. With shard-major storage a shard's
+                // own candidates sit in one contiguous block.
                 for (p, agent) in self.population.providers.iter_mut_of(candidates) {
                     let condition = conditions.provider(p);
                     if matches!(condition, HostCondition::Unresponsive) {
@@ -1178,7 +1186,8 @@ impl Simulator {
             .collect();
         // The union of the batch's candidate sets, ascending: the sets
         // are disjoint (distinct shards), so sorting the concatenation
-        // yields the duplicate-free ordered list `iter_mut_of` wants.
+        // yields a duplicate-free list, and the provider jobs are
+        // registered in id order.
         let mut all_candidates: Vec<ProviderId> =
             Vec::with_capacity(batch.iter().map(|a| a.candidates.len()).sum());
         for arrival in &batch {

@@ -42,14 +42,72 @@ struct MergeBySlot<A: Iterator, B: Iterator> {
     b: Peekable<B>,
 }
 
-/// `log2(stride)` for power-of-two strides, zero otherwise. Zero doubles
-/// as the "use hardware division" sentinel: stride 1 short-circuits
-/// before the shift is consulted, and no other power of two maps to it.
-fn pow2_shift(stride: usize) -> u32 {
-    if stride.is_power_of_two() {
-        stride.trailing_zeros()
-    } else {
-        0
+/// Division by a run-time constant without a hardware divide.
+///
+/// A stride is fixed when its table is built, but hardware division by a
+/// run-time value costs tens of cycles and the residue arithmetic runs
+/// once per candidate per query. Power-of-two divisors reduce to a shift
+/// and a mask; any other divisor uses Lemire's multiply-high: with
+/// `magic = ⌊(2⁶⁴ − 1) / d⌋ + 1`, `⌊n / d⌋ = (magic · n) >> 64` exactly for
+/// every `n < 2³²` (Lemire, Kaser & Kurz, "Faster remainder by direct
+/// computation", 2019). Participant ids are `u32`, so every slot lies in
+/// that range; a larger dividend falls back to hardware division.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Divisor {
+    divisor: usize,
+    /// `log2(divisor)` for powers of two (then `magic` is zero).
+    shift: u32,
+    /// The multiply-high reciprocal for every other divisor.
+    magic: u64,
+}
+
+impl Divisor {
+    /// Division by one.
+    pub(crate) const ONE: Divisor = Divisor {
+        divisor: 1,
+        shift: 0,
+        magic: 0,
+    };
+
+    /// Precomputes the reciprocal of `divisor`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `divisor` is zero.
+    pub(crate) fn new(divisor: usize) -> Self {
+        assert!(divisor >= 1, "divisor must be at least 1");
+        if divisor.is_power_of_two() {
+            Divisor {
+                divisor,
+                shift: divisor.trailing_zeros(),
+                magic: 0,
+            }
+        } else {
+            Divisor {
+                divisor,
+                shift: 0,
+                magic: u64::MAX / divisor as u64 + 1,
+            }
+        }
+    }
+
+    /// The divisor itself.
+    #[inline]
+    pub(crate) fn get(self) -> usize {
+        self.divisor
+    }
+
+    /// `(n / divisor, n % divisor)`.
+    #[inline]
+    pub(crate) fn div_rem(self, n: usize) -> (usize, usize) {
+        let quotient = if self.magic == 0 {
+            n >> self.shift
+        } else if n <= u32::MAX as usize {
+            ((u128::from(self.magic) * n as u128) >> 64) as usize
+        } else {
+            n / self.divisor
+        };
+        (quotient, n - quotient * self.divisor)
     }
 }
 
@@ -86,14 +144,12 @@ where
 #[derive(Debug, Clone)]
 pub struct StridedTable<K: StableId, V> {
     offset: usize,
-    stride: usize,
-    /// `log2(stride)` when the stride is a power of two, so the per-access
-    /// residue test and local-index computation strength-reduce to mask
-    /// and shift (hardware division by a runtime stride costs tens of
-    /// cycles and sits on the allocation hot path — one `local` per
-    /// candidate per query). Zero means "not a power of two"; stride 1
-    /// never consults it (the identity short-circuit fires first).
-    shift: u32,
+    /// The stride, with its reciprocal precomputed: the per-access
+    /// residue test and local-index computation sit on the allocation hot
+    /// path (one `local` per candidate per query), so they run without a
+    /// hardware divide. Stride 1 never consults it (the identity
+    /// short-circuit fires first).
+    stride: Divisor,
     /// Dense storage of the residue class: local index `i` holds the
     /// participant with raw id `offset + i · stride`.
     slots: Vec<Option<V>>,
@@ -127,8 +183,7 @@ impl<K: StableId, V> StridedTable<K, V> {
         );
         StridedTable {
             offset,
-            stride,
-            shift: pow2_shift(stride),
+            stride: Divisor::new(stride),
             slots: Vec::new(),
             overflow: Vec::new(),
             len: 0,
@@ -138,7 +193,7 @@ impl<K: StableId, V> StridedTable<K, V> {
 
     /// The residue-class parameters `(offset, stride)` of this table.
     pub fn stride_params(&self) -> (usize, usize) {
-        (self.offset, self.stride)
+        (self.offset, self.stride.get())
     }
 
     /// Number of present entries (main storage plus overflow).
@@ -163,21 +218,11 @@ impl<K: StableId, V> StridedTable<K, V> {
     fn local(&self, slot: usize) -> Option<usize> {
         // `stride == 1` is the mono-mediator / dense case: keep it a
         // single predictable branch on the allocation hot path.
-        if self.stride == 1 {
+        if self.stride.get() == 1 {
             return Some(slot);
         }
-        let d = slot.checked_sub(self.offset)?;
-        if self.shift != 0 {
-            if d & (self.stride - 1) == 0 {
-                Some(d >> self.shift)
-            } else {
-                None
-            }
-        } else if d % self.stride == 0 {
-            Some(d / self.stride)
-        } else {
-            None
-        }
+        let (local, residue) = self.stride.div_rem(slot.checked_sub(self.offset)?);
+        (residue == 0).then_some(local)
     }
 
     /// Whether `key` has an entry.
@@ -291,7 +336,7 @@ impl<K: StableId, V> StridedTable<K, V> {
     /// merging the dense residue-class storage with the overflow.
     pub fn iter(&self) -> impl Iterator<Item = (K, &V)> + '_ {
         let offset = self.offset;
-        let stride = self.stride;
+        let stride = self.stride.get();
         let main = self
             .slots
             .iter()
@@ -331,10 +376,9 @@ impl<K: StableId, V> Default for StridedTable<K, V> {
 #[derive(Debug, Clone)]
 pub struct StridedColumn<K: StableId, T> {
     offset: usize,
-    stride: usize,
-    /// See [`StridedTable::shift`]: mask-and-shift strength reduction for
-    /// power-of-two strides, zero when the stride needs real division.
-    shift: u32,
+    /// See [`StridedTable::stride`]: the stride with its precomputed
+    /// reciprocal.
+    stride: Divisor,
     values: Vec<T>,
     overflow: Vec<(usize, T)>,
     fill: T,
@@ -362,8 +406,7 @@ impl<K: StableId, T: Copy> StridedColumn<K, T> {
         );
         StridedColumn {
             offset,
-            stride,
-            shift: pow2_shift(stride),
+            stride: Divisor::new(stride),
             values: Vec::new(),
             overflow: Vec::new(),
             fill,
@@ -388,21 +431,11 @@ impl<K: StableId, T: Copy> StridedColumn<K, T> {
 
     #[inline]
     fn local(&self, slot: usize) -> Option<usize> {
-        if self.stride == 1 {
+        if self.stride.get() == 1 {
             return Some(slot);
         }
-        let d = slot.checked_sub(self.offset)?;
-        if self.shift != 0 {
-            if d & (self.stride - 1) == 0 {
-                Some(d >> self.shift)
-            } else {
-                None
-            }
-        } else if d % self.stride == 0 {
-            Some(d / self.stride)
-        } else {
-            None
-        }
+        let (local, residue) = self.stride.div_rem(slot.checked_sub(self.offset)?);
+        (residue == 0).then_some(local)
     }
 
     /// The value for `key` (the fill value when the slot was never
@@ -463,9 +496,42 @@ mod tests {
     use super::*;
     use crate::ids::ProviderId;
     use crate::ParticipantTable;
+    use proptest::prelude::*;
 
     fn p(raw: u32) -> ProviderId {
         ProviderId::new(raw)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_divisor_matches_hardware_division(
+            n in 0u32..=u32::MAX,
+            divisor in 1usize..=u32::MAX as usize,
+        ) {
+            let n = n as usize;
+            prop_assert_eq!(Divisor::new(divisor).div_rem(n), (n / divisor, n % divisor));
+        }
+
+        #[test]
+        fn prop_divisor_is_exact_near_multiples(
+            divisor in 1usize..5_000,
+            quotient in 0usize..800_000,
+            delta in 0usize..3,
+        ) {
+            // n = q·d − 1, q·d, q·d + 1: where a rounding error would show.
+            let n = (quotient * divisor + delta).saturating_sub(1);
+            prop_assert_eq!(Divisor::new(divisor).div_rem(n), (n / divisor, n % divisor));
+        }
+    }
+
+    #[test]
+    fn divisor_extremes() {
+        for divisor in [1usize, 2, 3, 7, 2_084, 4_096, u32::MAX as usize] {
+            let d = Divisor::new(divisor);
+            for n in [0usize, 1, divisor - 1, divisor, u32::MAX as usize, 1 << 40] {
+                assert_eq!(d.div_rem(n), (n / divisor, n % divisor), "{n} / {divisor}");
+            }
+        }
     }
 
     #[test]

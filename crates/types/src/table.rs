@@ -15,6 +15,7 @@ use std::marker::PhantomData;
 use std::ops::{Index, IndexMut};
 
 use crate::ids::{ConsumerId, MediatorId, ProviderId, QueryId};
+use crate::strided::Divisor;
 
 /// A copyable identifier with a stable, dense raw index.
 pub trait StableId: Copy + Eq + fmt::Display {
@@ -48,11 +49,184 @@ stable_id_impls!(ConsumerId, ProviderId, MediatorId, QueryId);
 /// Designed for the small, dense id spaces of the simulator (participants
 /// are numbered from 0 at generation time): storage is a slot vector, so
 /// `get`/`insert`/`remove` are O(1) and iteration is ordered by id.
+///
+/// A table built by [`ParticipantTable::residue_major_from_fn`] stores
+/// its ids *shard-major* instead: with `K` residue classes and
+/// `block = ⌈n / K⌉`, the id `r + q·K` (`r < K`, `q < block`) lives at slot
+/// `r·block + q`, so each residue class `id mod K` — the providers one
+/// mediator shard owns — is one contiguous block in ascending id order.
+/// Ids at or past `K·block` keep the identity position. The mapping only
+/// moves where values live: lookups, iteration order (ascending id) and
+/// equality are the same in both layouts, and `K = 1` is exactly the
+/// identity.
 #[derive(Debug, Clone)]
 pub struct ParticipantTable<K: StableId, V> {
+    /// Indexed by [`Layout::position`]; never shorter than the layout's
+    /// residue-major span.
     slots: Vec<Option<V>>,
     len: usize,
+    layout: Layout,
     _key: PhantomData<K>,
+}
+
+/// The id → slot mapping of a [`ParticipantTable`].
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    /// The number of residue classes `K`, with its precomputed reciprocal.
+    residues: Divisor,
+    /// Slots per residue class, `⌈n / K⌉`.
+    block: usize,
+    /// `K · block`: ids below it are stored residue-major, the rest at
+    /// their own index. Zero for the identity layout.
+    span: usize,
+}
+
+impl Layout {
+    const IDENTITY: Layout = Layout {
+        residues: Divisor::ONE,
+        block: 0,
+        span: 0,
+    };
+
+    /// The residue-major layout for the ids `0..ids` over `residues`
+    /// classes (the identity when `residues == 1`).
+    fn residue_major(ids: usize, residues: usize) -> Layout {
+        assert!(
+            residues >= 1,
+            "a residue-major layout needs at least one class"
+        );
+        if residues == 1 {
+            return Layout::IDENTITY;
+        }
+        let block = ids.div_ceil(residues);
+        Layout {
+            residues: Divisor::new(residues),
+            block,
+            span: block * residues,
+        }
+    }
+
+    /// The storage position of the id with raw index `slot`. A bijection
+    /// on `0..n` for every `n >= span`.
+    #[inline]
+    fn position(self, slot: usize) -> usize {
+        if slot >= self.span {
+            return slot;
+        }
+        let (q, r) = self.residues.div_rem(slot);
+        r * self.block + q
+    }
+}
+
+/// Walks the ids `0..end` in ascending order, yielding each with its
+/// storage position — residue-major positions are stepped incrementally,
+/// so iteration divides nothing.
+struct AscendingIds {
+    layout: Layout,
+    id: usize,
+    end: usize,
+    /// `id / K` and `id mod K` while `id` lies inside the residue-major
+    /// span.
+    quotient: usize,
+    residue: usize,
+}
+
+impl AscendingIds {
+    fn new(layout: Layout, end: usize) -> Self {
+        AscendingIds {
+            layout,
+            id: 0,
+            end,
+            quotient: 0,
+            residue: 0,
+        }
+    }
+}
+
+impl Iterator for AscendingIds {
+    /// `(id, position)`.
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let id = self.id;
+        if id >= self.end {
+            return None;
+        }
+        self.id += 1;
+        if id >= self.layout.span {
+            return Some((id, id));
+        }
+        let position = self.residue * self.layout.block + self.quotient;
+        self.residue += 1;
+        if self.residue == self.layout.residues.get() {
+            self.residue = 0;
+            self.quotient += 1;
+        }
+        Some((id, position))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end.saturating_sub(self.id);
+        (left, Some(left))
+    }
+}
+
+/// [`ParticipantTable::iter_mut_of`] over keys whose storage positions
+/// strictly ascend — a shard's own candidates, or any ascending key list
+/// of an identity-layout table: each borrow splits the remaining slots at
+/// a cursor, without allocating.
+struct AscendingSlotsOf<'a, K, V> {
+    keys: std::slice::Iter<'a, K>,
+    layout: Layout,
+    /// The slots after the last one handed out.
+    rest: &'a mut [Option<V>],
+    /// Position of `rest[0]`.
+    consumed: usize,
+}
+
+impl<'a, K: StableId, V> Iterator for AscendingSlotsOf<'a, K, V> {
+    type Item = (K, &'a mut V);
+
+    fn next(&mut self) -> Option<(K, &'a mut V)> {
+        loop {
+            let &key = self.keys.next()?;
+            let offset = self
+                .layout
+                .position(key.slot())
+                .checked_sub(self.consumed)
+                .expect("positions were checked to ascend");
+            if offset >= self.rest.len() {
+                // Every later key lies further past the end.
+                return None;
+            }
+            let (head, tail) = std::mem::take(&mut self.rest).split_at_mut(offset + 1);
+            self.rest = tail;
+            self.consumed += offset + 1;
+            if let Some(value) = head[offset].as_mut() {
+                return Some((key, value));
+            }
+        }
+    }
+}
+
+/// Either way of serving [`ParticipantTable::iter_mut_of`].
+enum SlotsOf<'a, K, V> {
+    Ascending(AscendingSlotsOf<'a, K, V>),
+    /// Keys in any other order, borrowed in position order up front and
+    /// yielded in the caller's.
+    Gathered(std::iter::Flatten<std::vec::IntoIter<Option<(K, &'a mut V)>>>),
+}
+
+impl<'a, K: StableId, V> Iterator for SlotsOf<'a, K, V> {
+    type Item = (K, &'a mut V);
+
+    fn next(&mut self) -> Option<(K, &'a mut V)> {
+        match self {
+            SlotsOf::Ascending(slots) => slots.next(),
+            SlotsOf::Gathered(slots) => slots.next(),
+        }
+    }
 }
 
 impl<K: StableId, V> ParticipantTable<K, V> {
@@ -61,6 +235,7 @@ impl<K: StableId, V> ParticipantTable<K, V> {
         ParticipantTable {
             slots: Vec::new(),
             len: 0,
+            layout: Layout::IDENTITY,
             _key: PhantomData,
         }
     }
@@ -73,6 +248,7 @@ impl<K: StableId, V> ParticipantTable<K, V> {
         ParticipantTable {
             slots,
             len,
+            layout: Layout::IDENTITY,
             _key: PhantomData,
         }
     }
@@ -80,6 +256,39 @@ impl<K: StableId, V> ParticipantTable<K, V> {
     /// Builds a table with `n` entries produced by `f(id)`.
     pub fn from_fn(n: usize, mut f: impl FnMut(K) -> V) -> Self {
         ParticipantTable::from_values((0..n).map(|i| f(K::from_slot(i))))
+    }
+
+    /// Builds a table with `n` entries produced by `f(id)`, stored
+    /// residue-major over `residues` classes (see the type docs): each
+    /// class `id mod residues` is one contiguous block.
+    ///
+    /// `f` runs in *storage* order — residue class by residue class —
+    /// so each value is constructed in place and nothing is moved
+    /// afterwards. A generator whose values depend on a random stream
+    /// must draw them in id order beforehand. `residues == 1` is exactly
+    /// [`ParticipantTable::from_fn`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `residues` is zero.
+    pub fn residue_major_from_fn(n: usize, residues: usize, mut f: impl FnMut(K) -> V) -> Self {
+        let layout = Layout::residue_major(n, residues);
+        if layout.span == 0 {
+            return ParticipantTable::from_fn(n, f);
+        }
+        let mut slots: Vec<Option<V>> = Vec::with_capacity(layout.span);
+        for residue in 0..residues {
+            for quotient in 0..layout.block {
+                let id = quotient * residues + residue;
+                slots.push((id < n).then(|| f(K::from_slot(id))));
+            }
+        }
+        ParticipantTable {
+            slots,
+            len: n,
+            layout,
+            _key: PhantomData,
+        }
     }
 
     /// Number of present entries.
@@ -94,58 +303,84 @@ impl<K: StableId, V> ParticipantTable<K, V> {
 
     /// Whether `key` has an entry.
     pub fn contains(&self, key: K) -> bool {
-        self.slots.get(key.slot()).is_some_and(Option::is_some)
+        self.get(key).is_some()
     }
 
     /// The entry for `key`, if present.
     pub fn get(&self, key: K) -> Option<&V> {
-        self.slots.get(key.slot()).and_then(Option::as_ref)
+        self.slots
+            .get(self.layout.position(key.slot()))
+            .and_then(Option::as_ref)
     }
 
     /// Mutable access to the entry for `key`, if present.
     pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
-        self.slots.get_mut(key.slot()).and_then(Option::as_mut)
+        let position = self.layout.position(key.slot());
+        self.slots.get_mut(position).and_then(Option::as_mut)
     }
 
-    /// Disjoint mutable access to the entries of `keys`, which must be in
-    /// strictly ascending id order (the order candidate lists are kept
-    /// in). Yields one `(key, &mut value)` pair per *present* key — absent
-    /// keys are skipped — in O(len(keys)), without walking the rest of the
-    /// table. The borrows are simultaneous (each yielded reference splits
-    /// the remaining slots), which is what lets a caller hand out one
-    /// `&mut` participant per task of a batch.
+    /// Disjoint mutable access to the entries of `keys`, which may come
+    /// in any order but must be distinct. Yields one `(key, &mut value)`
+    /// pair per *present* key, in the caller's order — absent keys and
+    /// keys past the end of the table are skipped — without walking the
+    /// rest of the table. The borrows are simultaneous, which is what
+    /// lets a caller hand out one `&mut` participant per task of a batch.
+    ///
+    /// Keys whose storage positions ascend (a shard's own candidates in
+    /// id order) are served lazily without allocating; any other order —
+    /// say candidates migrated in from other residue classes — sorts a
+    /// copy of the positions first.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a repeated key: the two borrows would alias.
     pub fn iter_mut_of<'a>(
         &'a mut self,
         keys: &'a [K],
     ) -> impl Iterator<Item = (K, &'a mut V)> + 'a {
-        debug_assert!(
-            keys.windows(2).all(|w| w[0].slot() < w[1].slot()),
-            "iter_mut_of requires strictly ascending keys"
-        );
+        let layout = self.layout;
+        let position = |key: &K| layout.position(key.slot());
+        if keys.windows(2).all(|w| position(&w[0]) < position(&w[1])) {
+            return SlotsOf::Ascending(AscendingSlotsOf {
+                keys: keys.iter(),
+                layout,
+                rest: &mut self.slots,
+                consumed: 0,
+            });
+        }
+        let mut order: Vec<(usize, usize)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| (position(key), i))
+            .collect();
+        order.sort_unstable();
+        let mut found: Vec<Option<(K, &'a mut V)>> = Vec::with_capacity(keys.len());
+        found.resize_with(keys.len(), || None);
         let mut rest: &'a mut [Option<V>] = &mut self.slots;
-        let mut consumed = 0usize;
-        keys.iter().filter_map(move |&key| {
-            // Out-of-order (or duplicate) keys would alias; they are
-            // rejected by the debug assertion above and skipped here.
-            let offset = key.slot().checked_sub(consumed)?;
+        let mut consumed = 0;
+        for (position, i) in order {
+            assert!(
+                position >= consumed,
+                "iter_mut_of: duplicate key {}",
+                keys[i]
+            );
+            let offset = position - consumed;
+            consumed = position + 1;
             if offset >= rest.len() {
-                return None;
+                rest = &mut [];
+                continue;
             }
-            let taken = std::mem::take(&mut rest);
-            let (head, tail) = taken.split_at_mut(offset + 1);
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(offset + 1);
             rest = tail;
-            consumed = key.slot() + 1;
-            head[offset].as_mut().map(|value| (key, value))
-        })
+            found[i] = head[offset].as_mut().map(|value| (keys[i], value));
+        }
+        SlotsOf::Gathered(found.into_iter().flatten())
     }
 
     /// Inserts an entry, returning the previous value for `key` if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let slot = key.slot();
-        if slot >= self.slots.len() {
-            self.slots.resize_with(slot + 1, || None);
-        }
-        let previous = self.slots[slot].replace(value);
+        let position = self.grow_to(key);
+        let previous = self.slots[position].replace(value);
         if previous.is_none() {
             self.len += 1;
         }
@@ -158,11 +393,8 @@ impl<K: StableId, V> ParticipantTable<K, V> {
     /// query), where the contains/insert/get_mut sequence it replaced
     /// cost three.
     pub fn or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        let slot = key.slot();
-        if slot >= self.slots.len() {
-            self.slots.resize_with(slot + 1, || None);
-        }
-        let entry = &mut self.slots[slot];
+        let position = self.grow_to(key);
+        let entry = &mut self.slots[position];
         if entry.is_none() {
             *entry = Some(default());
             self.len += 1;
@@ -170,35 +402,71 @@ impl<K: StableId, V> ParticipantTable<K, V> {
         entry.as_mut().expect("entry just ensured")
     }
 
+    /// The storage position of `key`, growing the table when it lies
+    /// past the end.
+    fn grow_to(&mut self, key: K) -> usize {
+        let position = self.layout.position(key.slot());
+        if position >= self.slots.len() {
+            self.slots.resize_with(position + 1, || None);
+        }
+        position
+    }
+
     /// Removes the entry for `key`, keeping every other key valid.
     pub fn remove(&mut self, key: K) -> Option<V> {
-        let removed = self.slots.get_mut(key.slot()).and_then(Option::take);
+        let position = self.layout.position(key.slot());
+        let removed = self.slots.get_mut(position).and_then(Option::take);
         if removed.is_some() {
             self.len -= 1;
         }
         removed
     }
 
-    /// Removes every entry.
+    /// Removes every entry, keeping the layout.
     pub fn clear(&mut self) {
-        self.slots.clear();
+        self.slots.truncate(self.layout.span);
+        self.slots.fill_with(|| None);
         self.len = 0;
     }
 
     /// Iterates over `(id, value)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (K, &V)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, value)| value.as_ref().map(|v| (K::from_slot(slot), v)))
+        AscendingIds::new(self.layout, self.slots.len()).filter_map(|(slot, position)| {
+            self.slots[position]
+                .as_ref()
+                .map(|v| (K::from_slot(slot), v))
+        })
     }
 
-    /// Iterates over `(id, value)` pairs with mutable values.
+    /// Iterates over `(id, value)` pairs with mutable values, in
+    /// ascending id order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (K, &mut V)> + '_ {
-        self.slots
+        let span = self.layout.span;
+        let (main, tail) = self.slots.split_at_mut(span);
+        // Residue-major: ascending ids visit the blocks round-robin, one
+        // slot of each per quotient.
+        let mut blocks: Vec<std::slice::IterMut<'_, Option<V>>> = if span == 0 {
+            Vec::new()
+        } else {
+            main.chunks_mut(self.layout.block)
+                .map(<[Option<V>]>::iter_mut)
+                .collect()
+        };
+        let residues = blocks.len();
+        let main = (0..span)
+            .zip((0..residues).cycle())
+            .filter_map(move |(slot, residue)| {
+                blocks[residue]
+                    .next()
+                    .expect("every block holds one slot per quotient")
+                    .as_mut()
+                    .map(|v| (K::from_slot(slot), v))
+            });
+        let tail = tail
             .iter_mut()
             .enumerate()
-            .filter_map(|(slot, value)| value.as_mut().map(|v| (K::from_slot(slot), v)))
+            .filter_map(move |(i, value)| value.as_mut().map(|v| (K::from_slot(span + i), v)));
+        main.chain(tail)
     }
 
     /// Iterates over present identifiers in ascending order.
@@ -216,15 +484,16 @@ impl<K: StableId, V> ParticipantTable<K, V> {
         self.iter_mut().map(|(_, v)| v)
     }
 
-    /// Keeps only the entries for which `keep` returns `true`.
+    /// Keeps only the entries for which `keep` returns `true`, visiting
+    /// them in ascending id order.
     pub fn retain(&mut self, mut keep: impl FnMut(K, &mut V) -> bool) {
-        for slot in 0..self.slots.len() {
-            let drop_it = match self.slots[slot].as_mut() {
+        for (slot, position) in AscendingIds::new(self.layout, self.slots.len()) {
+            let drop_it = match self.slots[position].as_mut() {
                 Some(value) => !keep(K::from_slot(slot), value),
                 None => false,
             };
             if drop_it {
-                self.slots[slot] = None;
+                self.slots[position] = None;
                 self.len -= 1;
             }
         }
@@ -390,6 +659,7 @@ impl<K: StableId, T: Copy> IndexMut<K> for SlotColumn<K, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn p(raw: u32) -> ProviderId {
         ProviderId::new(raw)
@@ -433,6 +703,97 @@ mod tests {
         assert_eq!(table.iter_mut_of(&[p(99)]).count(), 0);
         // An empty selection is an empty iterator.
         assert_eq!(table.iter_mut_of(&[]).count(), 0);
+    }
+
+    #[test]
+    fn iter_mut_of_yields_unordered_keys_in_caller_order() {
+        for residues in [1, 3] {
+            let mut table: ParticipantTable<ProviderId, u32> =
+                ParticipantTable::residue_major_from_fn(8, residues, |id: ProviderId| id.raw());
+            table.remove(p(5));
+            // Descending, off-residue, absent and past-the-end keys mixed.
+            let keys = [p(7), p(2), p(5), p(40), p(0), p(4)];
+            let order: Vec<u32> = table
+                .iter_mut_of(&keys)
+                .map(|(key, value)| {
+                    *value += 100;
+                    key.raw()
+                })
+                .collect();
+            assert_eq!(order, [7, 2, 0, 4], "caller order, absent keys skipped");
+            assert_eq!(table[p(2)], 102);
+            assert_eq!(table[p(1)], 1, "unselected entries untouched");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "iter_mut_of: duplicate key p3")]
+    fn iter_mut_of_panics_on_an_adjacent_duplicate() {
+        let mut table: ParticipantTable<ProviderId, u32> = ParticipantTable::from_values([0; 5]);
+        let _ = table.iter_mut_of(&[p(1), p(3), p(3)]).count();
+    }
+
+    #[test]
+    #[should_panic(expected = "iter_mut_of: duplicate key p1")]
+    fn iter_mut_of_panics_on_a_duplicate_after_a_higher_key() {
+        let mut table: ParticipantTable<ProviderId, u32> =
+            ParticipantTable::residue_major_from_fn(6, 2, |_: ProviderId| 0);
+        let _ = table.iter_mut_of(&[p(1), p(4), p(1)]).count();
+    }
+
+    #[test]
+    fn residue_major_tables_store_each_class_contiguously() {
+        // 7 ids over 3 classes: blocks of 3, one hole at the end of the
+        // last two blocks' id range (ids 7 and 8 do not exist).
+        let table: ParticipantTable<ProviderId, u32> =
+            ParticipantTable::residue_major_from_fn(7, 3, |id: ProviderId| id.raw());
+        let stored: Vec<Option<u32>> = table.slots.clone();
+        assert_eq!(
+            stored,
+            [
+                Some(0),
+                Some(3),
+                Some(6),
+                Some(1),
+                Some(4),
+                None,
+                Some(2),
+                Some(5),
+                None
+            ]
+        );
+        assert_eq!(table.len(), 7);
+        assert_eq!(
+            table.keys().map(ProviderId::raw).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4, 5, 6]
+        );
+        assert_eq!(
+            table,
+            ParticipantTable::from_fn(7, |id: ProviderId| id.raw())
+        );
+
+        // One class is the identity layout.
+        let identity: ParticipantTable<ProviderId, u32> =
+            ParticipantTable::residue_major_from_fn(4, 1, |id: ProviderId| id.raw());
+        assert_eq!(identity.slots, [Some(0), Some(1), Some(2), Some(3)]);
+    }
+
+    #[test]
+    fn residue_major_tables_grow_past_their_span_and_clear_to_it() {
+        let mut table: ParticipantTable<ProviderId, u32> =
+            ParticipantTable::residue_major_from_fn(4, 2, |id: ProviderId| id.raw());
+        assert_eq!(table.insert(p(9), 9), None);
+        assert_eq!(table.get(p(9)), Some(&9));
+        assert_eq!(table.get(p(8)), None);
+        assert_eq!(
+            table.keys().map(ProviderId::raw).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 9]
+        );
+        table.clear();
+        assert!(table.is_empty());
+        assert_eq!(table.iter().count(), 0);
+        table.insert(p(3), 30);
+        assert_eq!(table.slots[3], Some(30), "id 3 = class 1, quotient 1");
     }
 
     #[test]
@@ -532,6 +893,118 @@ mod tests {
         assert_eq!(a, b);
         b.remove(p(0));
         assert_ne!(a, b);
+    }
+
+    /// One step of the layout-equivalence property.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u32, u32),
+        Remove(u32),
+        Get(u32),
+        Iter,
+        IterMut,
+        IterMutOf(Vec<u32>),
+    }
+
+    /// Draws `(stride, ids generated, ops)`. Strides are the ones the
+    /// engine meets (1, powers of two, small odd counts, the 2 084 shards
+    /// of the 3·10⁵ workload); op ids reach past the generated ids by
+    /// more than one full stride, and `iter_mut_of` key sets mix
+    /// residues in random order.
+    struct LayoutCase;
+
+    impl Strategy for LayoutCase {
+        type Value = (usize, usize, Vec<Op>);
+
+        fn sample(&self, rng: &mut TestRng) -> Self::Value {
+            let stride = [1usize, 2, 3, 16, 2_084][rng.below(5)];
+            let n = rng.below(3 * stride + 40);
+            let max_id = n + 2 * stride + 8;
+            let id = |rng: &mut TestRng| rng.below(max_id) as u32;
+            let mut ops = Vec::new();
+            for _ in 0..rng.below(40) {
+                let op = match rng.below(6) {
+                    0 => Op::Insert(id(rng), rng.next_u64() as u32),
+                    1 => Op::Remove(id(rng)),
+                    2 => Op::Get(id(rng)),
+                    3 => Op::Iter,
+                    4 => Op::IterMut,
+                    _ => {
+                        let mut seen = std::collections::HashSet::new();
+                        let count = rng.below(24);
+                        let keys = (0..count)
+                            .map(|_| id(rng))
+                            .filter(|k| seen.insert(*k))
+                            .collect();
+                        Op::IterMutOf(keys)
+                    }
+                };
+                ops.push(op);
+            }
+            (stride, n, ops)
+        }
+    }
+
+    fn pairs(table: &ParticipantTable<ProviderId, u32>) -> Vec<(u32, u32)> {
+        table.iter().map(|(k, v)| (k.raw(), *v)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn prop_residue_major_layout_matches_the_identity((stride, n, ops) in LayoutCase) {
+            let make = |id: ProviderId| id.raw().wrapping_mul(7);
+            let mut identity: ParticipantTable<ProviderId, u32> = ParticipantTable::from_fn(n, make);
+            let mut shard_major: ParticipantTable<ProviderId, u32> =
+                ParticipantTable::residue_major_from_fn(n, stride, make);
+            for op in ops {
+                match op {
+                    Op::Insert(id, v) => {
+                        prop_assert_eq!(identity.insert(p(id), v), shard_major.insert(p(id), v));
+                    }
+                    Op::Remove(id) => {
+                        prop_assert_eq!(identity.remove(p(id)), shard_major.remove(p(id)));
+                    }
+                    Op::Get(id) => {
+                        prop_assert_eq!(identity.get(p(id)), shard_major.get(p(id)));
+                        prop_assert_eq!(identity.contains(p(id)), shard_major.contains(p(id)));
+                    }
+                    Op::Iter => {
+                        prop_assert_eq!(pairs(&identity), pairs(&shard_major));
+                        prop_assert!(identity.keys().eq(shard_major.keys()));
+                    }
+                    Op::IterMut => {
+                        let bump = |table: &mut ParticipantTable<ProviderId, u32>| {
+                            table
+                                .iter_mut()
+                                .map(|(k, v)| {
+                                    *v = v.wrapping_add(k.raw());
+                                    (k.raw(), *v)
+                                })
+                                .collect::<Vec<_>>()
+                        };
+                        prop_assert_eq!(bump(&mut identity), bump(&mut shard_major));
+                    }
+                    Op::IterMutOf(raw) => {
+                        let keys: Vec<ProviderId> = raw.into_iter().map(p).collect();
+                        let bump = |table: &mut ParticipantTable<ProviderId, u32>| {
+                            table
+                                .iter_mut_of(&keys)
+                                .map(|(k, v)| {
+                                    *v = v.wrapping_add(1);
+                                    (k.raw(), *v)
+                                })
+                                .collect::<Vec<_>>()
+                        };
+                        prop_assert_eq!(bump(&mut identity), bump(&mut shard_major));
+                    }
+                }
+                prop_assert_eq!(identity.len(), shard_major.len());
+            }
+            prop_assert_eq!(pairs(&identity), pairs(&shard_major));
+            prop_assert!(identity == shard_major);
+        }
     }
 
     #[test]
