@@ -10,7 +10,12 @@
 //! provider endpoint is the candidate of exactly one query (batches of
 //! `endpoints / CANDIDATES_PER_QUERY` queries, 16 candidates each), so a
 //! "round" touches the full endpoint population once. A `frame` group
-//! additionally measures the wire framing of the wave's reply messages.
+//! additionally measures the wire framing of the wave's reply messages,
+//! and an `engine_wave` group the wave the simulator engine runs per
+//! arrival: one query, its consumer and 117 candidate providers (the
+//! candidate count of the `sharded-reactor` benchmark workload) through
+//! `Reactor::run_wave`, assembled by the single-query
+//! `WaveReplies::append_candidate_infos` into a reused buffer.
 //!
 //! Run with: `cargo bench -p sqlb-bench --bench reactor_scaling`
 
@@ -19,7 +24,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqlb_mediation::{
     decode_participant_reply, encode_participant_reply, AsyncMediator, ConsumerEndpoint,
-    ParticipantReply, ProviderEndpoint, RuntimeConfig,
+    IntentionWave, Latency, ParticipantReply, ProviderAnswer, ProviderEndpoint, Reactor,
+    RuntimeConfig,
 };
 use sqlb_types::{ConsumerId, ProviderId, Query, QueryClass, QueryId, SimTime};
 
@@ -28,6 +34,8 @@ use sqlb_types::{ConsumerId, ProviderId, Query, QueryClass, QueryId, SimTime};
 const CANDIDATES_PER_QUERY: usize = 16;
 /// Consumers issuing the batch (queries are spread over them).
 const CONSUMERS: usize = 64;
+/// Candidates of the engine-shaped wave.
+const ENGINE_CANDIDATES: usize = 117;
 
 struct FlatConsumer;
 
@@ -135,5 +143,55 @@ fn bench_framing(criterion: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_reactor, bench_framing);
+fn bench_engine_wave(criterion: &mut Criterion) {
+    let mut group = criterion.benchmark_group("engine_wave");
+    group.measurement_time(Duration::from_secs(2));
+    let mut reactor = Reactor::new(RuntimeConfig::default());
+    reactor.register_consumer(ConsumerId::new(0), Latency::Immediate);
+    for p in 0..ENGINE_CANDIDATES {
+        reactor.register_provider(ProviderId::new(p as u32), Latency::Immediate);
+    }
+    let query = Query::single(
+        QueryId::new(1),
+        ConsumerId::new(0),
+        QueryClass::Light,
+        SimTime::ZERO,
+    );
+    let candidates: Vec<ProviderId> = (0..ENGINE_CANDIDATES as u32).map(ProviderId::new).collect();
+    let mut infos = Vec::with_capacity(ENGINE_CANDIDATES);
+    group.bench_function(BenchmarkId::from_parameter(ENGINE_CANDIDATES), |b| {
+        b.iter(|| {
+            let (query, candidates) = (&query, &candidates);
+            let mut wave = IntentionWave::new();
+            wave.consumer(query.consumer, None, move || {
+                vec![(
+                    query.id,
+                    candidates
+                        .iter()
+                        .map(|&p| (p, 0.25 + 0.5 / (1.0 + p.index() as f64)))
+                        .collect(),
+                )]
+            });
+            for &p in candidates {
+                wave.provider(p, None, move || {
+                    vec![ProviderAnswer {
+                        query: query.id,
+                        intention: 1.0 - (p.index() % 7) as f64 * 0.25,
+                        utilization: 0.5,
+                        bid: None,
+                    }]
+                });
+            }
+            let replies = reactor.run_wave(wave);
+            infos.clear();
+            replies.append_candidate_infos(query, candidates, &mut infos);
+            infos.len()
+        })
+    });
+    assert_eq!(infos.len(), ENGINE_CANDIDATES);
+    assert_eq!(reactor.last_round().answered, ENGINE_CANDIDATES + 1);
+    group.finish();
+}
+
+criterion_group!(benches, bench_reactor, bench_framing, bench_engine_wave);
 criterion_main!(benches);

@@ -48,13 +48,13 @@
 //! the wave's jobs, and hand it to [`Reactor::run_wave`].
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::time::Duration;
 
 use sqlb_core::allocation::{Allocation, AllocationMethod, Bid, CandidateInfo};
 use sqlb_core::{Mediator, MediatorState};
 use sqlb_obs::{Counter, EventKind, Histogram, Obs};
-use sqlb_types::{ConsumerId, ProviderId, Query, QueryId};
+use sqlb_types::{ConsumerId, ParticipantTable, ProviderId, Query, QueryId};
 
 use crate::runtime::{ConsumerEndpoint, ProviderEndpoint, RuntimeConfig};
 
@@ -137,9 +137,6 @@ pub struct ProviderAnswer {
     pub bid: Option<Bid>,
 }
 
-type ConsumerJob<'a> = Box<dyn FnOnce() -> ConsumerBatchAnswer + 'a>;
-type ProviderJob<'a> = Box<dyn FnOnce() -> ProviderBatchAnswer + 'a>;
-
 /// A consumer endpoint temporarily detached from the facade for one wave,
 /// together with its share of the wave's requests.
 type DetachedConsumer = (
@@ -150,16 +147,12 @@ type DetachedConsumer = (
 /// A provider endpoint temporarily detached from the facade for one wave.
 type DetachedProvider = (ProviderId, Box<dyn ProviderEndpoint>, Vec<Query>);
 
-struct ConsumerTask<'a> {
-    id: ConsumerId,
+/// One participant's request in a wave: its id, its per-wave latency
+/// override, and the job computing its reply (taken when polled).
+struct Task<Id, J> {
+    id: Id,
     latency: Option<Latency>,
-    job: ConsumerJob<'a>,
-}
-
-struct ProviderTask<'a> {
-    id: ProviderId,
-    latency: Option<Latency>,
-    job: ProviderJob<'a>,
+    job: Option<J>,
 }
 
 /// One wave of intention requests: at most one batched request per
@@ -167,16 +160,33 @@ struct ProviderTask<'a> {
 /// computes the participant's reply when its state machine reaches
 /// `Ready`).
 ///
-/// Jobs may borrow the caller's participant state — the simulator builds
-/// waves whose jobs borrow its agents directly — which is why the wave is
-/// lifetime-parameterized and consumed by a single run.
-#[derive(Default)]
-pub struct IntentionWave<'a> {
-    consumers: Vec<ConsumerTask<'a>>,
-    providers: Vec<ProviderTask<'a>>,
+/// The wave is generic over its consumer job type `C` and provider job
+/// type `P`, so jobs are stored inline — a wave costs no heap allocation
+/// per request. Both are inferred from the closures handed to
+/// [`IntentionWave::consumer`] / [`IntentionWave::provider`]; each call
+/// site adds one closure expression per side, so all jobs of one side
+/// share a type. Jobs may borrow the caller's participant state — the
+/// simulator builds waves whose jobs borrow its agents directly — which
+/// is why the wave is consumed by a single run.
+pub struct IntentionWave<C, P> {
+    consumers: Vec<Task<ConsumerId, C>>,
+    providers: Vec<Task<ProviderId, P>>,
 }
 
-impl<'a> IntentionWave<'a> {
+impl<C, P> Default for IntentionWave<C, P> {
+    fn default() -> Self {
+        IntentionWave {
+            consumers: Vec::new(),
+            providers: Vec::new(),
+        }
+    }
+}
+
+impl<C, P> IntentionWave<C, P>
+where
+    C: FnOnce() -> ConsumerBatchAnswer,
+    P: FnOnce() -> ProviderBatchAnswer,
+{
     /// Creates an empty wave.
     pub fn new() -> Self {
         IntentionWave::default()
@@ -185,32 +195,22 @@ impl<'a> IntentionWave<'a> {
     /// Adds a consumer's batched intention request. `latency` overrides
     /// the endpoint's latency for this wave; `None` means the reactor
     /// falls back to the endpoint's registered profile.
-    pub fn consumer(
-        &mut self,
-        id: ConsumerId,
-        latency: Option<Latency>,
-        job: impl FnOnce() -> ConsumerBatchAnswer + 'a,
-    ) {
-        self.consumers.push(ConsumerTask {
+    pub fn consumer(&mut self, id: ConsumerId, latency: Option<Latency>, job: C) {
+        self.consumers.push(Task {
             id,
             latency,
-            job: Box::new(job),
+            job: Some(job),
         });
     }
 
     /// Adds a provider's batched intention request. `latency` overrides
     /// the endpoint's latency for this wave; `None` resolves as described
     /// on [`IntentionWave::consumer`].
-    pub fn provider(
-        &mut self,
-        id: ProviderId,
-        latency: Option<Latency>,
-        job: impl FnOnce() -> ProviderBatchAnswer + 'a,
-    ) {
-        self.providers.push(ProviderTask {
+    pub fn provider(&mut self, id: ProviderId, latency: Option<Latency>, job: P) {
+        self.providers.push(Task {
             id,
             latency,
-            job: Box::new(job),
+            job: Some(job),
         });
     }
 
@@ -239,50 +239,213 @@ impl WaveReplies {
     /// Assembles the candidate information of a batch of queries from the
     /// wave's replies — one [`CandidateInfo`] vector per input query, in
     /// input order, with indifference (`0`) filled in for every missing
-    /// answer (Algorithm 1, line 5).
+    /// answer (Algorithm 1, line 5). See
+    /// [`WaveReplies::append_candidate_infos`] for the lookup rules.
     pub fn into_candidate_infos(
         self,
         requests: &[(Query, Vec<ProviderId>)],
     ) -> Vec<Vec<CandidateInfo>> {
-        let mut consumer_intentions: HashMap<(QueryId, ProviderId), f64> = HashMap::new();
-        for (_, reply) in self.consumers {
-            let Some(reply) = reply else { continue };
-            for (query, per_provider) in reply {
-                for (provider, intention) in per_provider {
-                    consumer_intentions.insert((query, provider), intention);
-                }
-            }
-        }
-        let mut provider_answers: HashMap<(QueryId, ProviderId), ProviderAnswer> = HashMap::new();
-        for (provider, reply) in self.providers {
-            let Some(reply) = reply else { continue };
-            for answer in reply {
-                provider_answers.insert((answer.query, provider), answer);
-            }
-        }
+        let mut assembly = Assembly::new(&self);
         requests
             .iter()
             .map(|(query, candidates)| {
-                candidates
-                    .iter()
-                    .map(|&p| {
-                        let ci = consumer_intentions
-                            .get(&(query.id, p))
-                            .copied()
-                            .unwrap_or(0.0);
-                        let answer = provider_answers.get(&(query.id, p));
-                        let mut info = CandidateInfo::new(p)
-                            .with_consumer_intention(ci)
-                            .with_provider_intention(answer.map_or(0.0, |a| a.intention))
-                            .with_utilization(answer.map_or(0.0, |a| a.utilization));
-                        if let Some(bid) = answer.and_then(|a| a.bid) {
-                            info = info.with_bid(bid);
-                        }
-                        info
-                    })
-                    .collect()
+                let mut infos = Vec::new();
+                assembly.append(query, candidates, &mut infos);
+                infos
             })
             .collect()
+    }
+
+    /// Assembles the candidate information of one query of the wave,
+    /// appending one [`CandidateInfo`] per candidate, in candidate order,
+    /// to `infos` — the form of [`WaveReplies::into_candidate_infos`]
+    /// that fills a caller's buffer instead of allocating one per query.
+    ///
+    /// The value for candidate `p` of query `q` is the *last* matching
+    /// entry of the replies, indifference (`0`, no bid) when there is
+    /// none:
+    ///
+    /// * the provider intention, utilization and bid come from the reply
+    ///   of provider `p`'s request, its answer about `q`;
+    /// * the consumer intention comes only from the reply of `q`'s own
+    ///   consumer (`q.consumer`), its entry for `(q, p)`. Entries another
+    ///   consumer sends about `q` are ignored — a consumer can never
+    ///   overwrite the intentions of a query it was not asked about.
+    ///
+    /// Replies are looked up at their expected position first (the
+    /// reactor emits them in request order, the socket ledger in
+    /// ascending id order); a miss falls back to a binary search, or to a
+    /// sorted index built once per call. The cost is `O((R + C) log R)`
+    /// for `R` reply entries and `C` candidates on any input, including
+    /// hostile wire replies.
+    pub fn append_candidate_infos(
+        &self,
+        query: &Query,
+        candidates: &[ProviderId],
+        infos: &mut Vec<CandidateInfo>,
+    ) {
+        Assembly::new(self).append(query, candidates, infos);
+    }
+}
+
+/// How one query reads its consumer intentions.
+enum ConsumerSide<'w> {
+    /// The query's consumer sent nothing about this query: indifference
+    /// throughout.
+    Silent,
+    /// The consumer's reply to this query is one per-provider list with
+    /// strictly ascending (hence distinct) providers, one per candidate:
+    /// look up positionally, then by binary search.
+    Listed(&'w [(ProviderId, f64)]),
+    /// Anything else: read through the wave's sorted consumer index.
+    Indexed,
+}
+
+/// An entry of the consumer index: `(consumer, query, provider,
+/// sequence, intention)`.
+type ConsumerIndexEntry = (u32, u32, u32, usize, f64);
+/// An entry of the provider index: `(provider, query, sequence, answer)`.
+type ProviderIndexEntry<'w> = (u32, u32, usize, &'w ProviderAnswer);
+
+/// Per-call lookup state of the reply assembly. The fast paths are exact
+/// only where ids are distinct, so each participant list is checked for
+/// strictly ascending ids once; the sorted indices are built lazily, at
+/// most once each, on the first lookup the fast paths cannot settle.
+struct Assembly<'w> {
+    replies: &'w WaveReplies,
+    consumers_ascending: bool,
+    providers_ascending: bool,
+    /// `(consumer, query, provider, sequence) → intention` over every
+    /// consumer reply entry, sorted; the sequence number keeps the reply
+    /// order so the last entry of a key wins.
+    consumer_index: Option<Vec<ConsumerIndexEntry>>,
+    /// `(provider, query, sequence) → answer` over every provider answer,
+    /// sorted likewise.
+    provider_index: Option<Vec<ProviderIndexEntry<'w>>>,
+}
+
+impl<'w> Assembly<'w> {
+    fn new(replies: &'w WaveReplies) -> Self {
+        Assembly {
+            replies,
+            consumers_ascending: strictly_ascending(&replies.consumers),
+            providers_ascending: strictly_ascending(&replies.providers),
+            consumer_index: None,
+            provider_index: None,
+        }
+    }
+
+    fn append(&mut self, query: &Query, candidates: &[ProviderId], infos: &mut Vec<CandidateInfo>) {
+        infos.reserve(candidates.len());
+        let consumer_side = self.consumer_side(query, candidates.len());
+        for (position, &provider) in candidates.iter().enumerate() {
+            let ci = match consumer_side {
+                ConsumerSide::Silent => 0.0,
+                ConsumerSide::Listed(list) => {
+                    locate(list, provider, position).map_or(0.0, |at| list[at].1)
+                }
+                ConsumerSide::Indexed => self.indexed_consumer_intention(query, provider),
+            };
+            let answer = self.provider_answer(query.id, provider, position);
+            infos.push(CandidateInfo {
+                provider,
+                consumer_intention: ci,
+                provider_intention: answer.map_or(0.0, |a| a.intention),
+                utilization: answer.map_or(0.0, |a| a.utilization),
+                bid: answer.and_then(|a| a.bid),
+            });
+        }
+    }
+
+    fn consumer_side(&self, query: &Query, candidates: usize) -> ConsumerSide<'w> {
+        if !self.consumers_ascending {
+            return ConsumerSide::Indexed;
+        }
+        let consumers = &self.replies.consumers;
+        let Some(at) = locate(consumers, query.consumer, 0) else {
+            return ConsumerSide::Silent;
+        };
+        match consumers[at].1.as_deref() {
+            None | Some([]) => ConsumerSide::Silent,
+            Some([(answered, _)]) if *answered != query.id => ConsumerSide::Silent,
+            Some([(_, list)]) if list.len() == candidates && strictly_ascending(list) => {
+                ConsumerSide::Listed(list)
+            }
+            Some(_) => ConsumerSide::Indexed,
+        }
+    }
+
+    fn indexed_consumer_intention(&mut self, query: &Query, provider: ProviderId) -> f64 {
+        let replies = self.replies;
+        let index = self.consumer_index.get_or_insert_with(|| {
+            let mut index = Vec::new();
+            for (consumer, reply) in &replies.consumers {
+                for (answered, list) in reply.iter().flatten() {
+                    for &(p, ci) in list {
+                        let sequence = index.len();
+                        index.push((consumer.raw(), answered.raw(), p.raw(), sequence, ci));
+                    }
+                }
+            }
+            index.sort_unstable_by_key(|&(c, q, p, sequence, _)| (c, q, p, sequence));
+            index
+        });
+        let key = (query.consumer.raw(), query.id.raw(), provider.raw());
+        let end = index.partition_point(|&(c, q, p, _, _)| (c, q, p) <= key);
+        match end.checked_sub(1).map(|last| index[last]) {
+            Some((c, q, p, _, ci)) if (c, q, p) == key => ci,
+            _ => 0.0,
+        }
+    }
+
+    fn provider_answer(
+        &mut self,
+        query: QueryId,
+        provider: ProviderId,
+        position: usize,
+    ) -> Option<&'w ProviderAnswer> {
+        let replies = self.replies;
+        let providers = &replies.providers;
+        if self.providers_ascending {
+            let at = locate(providers, provider, position)?;
+            match providers[at].1.as_deref() {
+                None => return None,
+                Some(answers @ ([] | [_])) => return answers.first().filter(|a| a.query == query),
+                Some(_) => {}
+            }
+        }
+        let index = self.provider_index.get_or_insert_with(|| {
+            let mut index = Vec::new();
+            for (p, reply) in providers {
+                for answer in reply.iter().flatten() {
+                    let sequence = index.len();
+                    index.push((p.raw(), answer.query.raw(), sequence, answer));
+                }
+            }
+            index.sort_unstable_by_key(|&(p, q, sequence, _)| (p, q, sequence));
+            index
+        });
+        let key = (provider.raw(), query.raw());
+        let end = index.partition_point(|&(p, q, _, _)| (p, q) <= key);
+        match end.checked_sub(1).map(|last| index[last]) {
+            Some((p, q, _, answer)) if (p, q) == key => Some(answer),
+            _ => None,
+        }
+    }
+}
+
+/// Whether the ids of `entries` strictly ascend (which makes them
+/// distinct and binary-searchable).
+fn strictly_ascending<Id: Ord, T>(entries: &[(Id, T)]) -> bool {
+    entries.windows(2).all(|pair| pair[0].0 < pair[1].0)
+}
+
+/// The position of `id` in `entries`, whose ids strictly ascend: `hint`
+/// first, then a binary search.
+fn locate<Id: Ord + Copy, T>(entries: &[(Id, T)], id: Id, hint: usize) -> Option<usize> {
+    match entries.get(hint) {
+        Some((found, _)) if *found == id => Some(hint),
+        _ => entries.binary_search_by_key(&id, |(found, _)| *found).ok(),
     }
 }
 
@@ -309,7 +472,6 @@ pub struct RoundStats {
 #[derive(Debug, Clone, Copy, Default)]
 struct EndpointProfile {
     latency: Latency,
-    waves_served: u64,
     timeouts: u64,
 }
 
@@ -318,17 +480,26 @@ struct EndpointProfile {
 ///
 /// Registration is light (one small profile per endpoint, no thread, no
 /// channel), which is what lets one reactor track tens of thousands of
-/// endpoints. Waves reference endpoints by id; an id that was never
-/// registered is served with the default profile (its reply is
-/// [`Latency::Immediate`]).
+/// endpoints. Profiles live in [`ParticipantTable`]s indexed by the raw
+/// id — ids are dense indices, as everywhere in the workspace — so a
+/// profile lookup is one array access, and registration memory grows
+/// with the *largest* registered id, not the number of endpoints. Waves
+/// reference endpoints by id; an id that was never registered is served
+/// with the default profile (its reply is [`Latency::Immediate`]).
 pub struct Reactor {
     config: RuntimeConfig,
-    consumers: HashMap<ConsumerId, EndpointProfile>,
-    providers: HashMap<ProviderId, EndpointProfile>,
+    consumers: ParticipantTable<ConsumerId, EndpointProfile>,
+    providers: ParticipantTable<ProviderId, EndpointProfile>,
     /// Virtual clock, in nanoseconds. Advances monotonically across waves.
     now_nanos: u64,
     waves: u64,
     last_round: RoundStats,
+    /// The readiness queue of request tokens, reused across waves (empty
+    /// between waves).
+    ready: VecDeque<usize>,
+    /// The timer heap of `(readiness instant, token)`, reused across
+    /// waves (empty between waves).
+    timers: BinaryHeap<Reverse<(u64, usize)>>,
     /// Observability sink (disabled by default).
     obs: Obs,
     /// Pre-resolved instruments (see [`ReactorMetrics`]).
@@ -340,11 +511,13 @@ impl Reactor {
     pub fn new(config: RuntimeConfig) -> Self {
         Reactor {
             config,
-            consumers: HashMap::new(),
-            providers: HashMap::new(),
+            consumers: ParticipantTable::new(),
+            providers: ParticipantTable::new(),
             now_nanos: 0,
             waves: 0,
             last_round: RoundStats::default(),
+            ready: VecDeque::new(),
+            timers: BinaryHeap::new(),
             obs: Obs::disabled(),
             metrics: ReactorMetrics::default(),
         }
@@ -389,12 +562,12 @@ impl Reactor {
 
     /// Removes a consumer endpoint (e.g. on departure).
     pub fn deregister_consumer(&mut self, id: ConsumerId) {
-        self.consumers.remove(&id);
+        self.consumers.remove(id);
     }
 
     /// Removes a provider endpoint (e.g. on departure).
     pub fn deregister_provider(&mut self, id: ProviderId) {
-        self.providers.remove(&id);
+        self.providers.remove(id);
     }
 
     /// Number of registered consumer endpoints.
@@ -425,7 +598,7 @@ impl Reactor {
     /// How many waves a registered provider endpoint missed the deadline
     /// of (0 for unregistered ids).
     pub fn provider_timeouts(&self, id: ProviderId) -> u64 {
-        self.providers.get(&id).map_or(0, |p| p.timeouts)
+        self.providers.get(id).map_or(0, |p| p.timeouts)
     }
 
     /// Runs one wave to completion on the event loop and returns its
@@ -436,14 +609,18 @@ impl Reactor {
     /// reply has arrived or the clock reaches the wave deadline — at
     /// which point every outstanding request is marked timed out and its
     /// values degrade to indifference.
-    pub fn run_wave(&mut self, wave: IntentionWave<'_>) -> WaveReplies {
+    pub fn run_wave<C, P>(&mut self, mut wave: IntentionWave<C, P>) -> WaveReplies
+    where
+        C: FnOnce() -> ConsumerBatchAnswer,
+        P: FnOnce() -> ProviderBatchAnswer,
+    {
         self.waves += 1;
         let start = self.now_nanos;
         let timeout_nanos = duration_nanos(self.config.timeout);
         let deadline = start.saturating_add(timeout_nanos);
 
         let consumer_count = wave.consumers.len();
-        let total = wave.consumers.len() + wave.providers.len();
+        let total = wave.len();
         self.metrics.waves.inc();
         self.metrics.requests_delivered.add(total as u64);
         if self.obs.is_enabled() {
@@ -456,47 +633,35 @@ impl Reactor {
             );
         }
 
-        // Per-task job + reply storage. Tokens < consumer_count index the
-        // consumer tasks; the rest index the provider tasks.
-        let mut consumer_jobs: Vec<Option<ConsumerJob<'_>>> = Vec::with_capacity(consumer_count);
+        // Tokens < consumer_count index the consumer tasks; the rest
+        // index the provider tasks. Replies are stored by token.
         let mut consumer_replies: Vec<(ConsumerId, Option<ConsumerBatchAnswer>)> =
             Vec::with_capacity(consumer_count);
-        let mut provider_jobs: Vec<Option<ProviderJob<'_>>> =
-            Vec::with_capacity(wave.providers.len());
         let mut provider_replies: Vec<(ProviderId, Option<ProviderBatchAnswer>)> =
             Vec::with_capacity(wave.providers.len());
-
-        let mut ready: VecDeque<usize> = VecDeque::new();
-        let mut timers: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let mut pending = vec![true; total];
+        let ready = &mut self.ready;
+        let timers = &mut self.timers;
+        ready.clear();
+        timers.clear();
 
         // Delivery: every task enters the state machine according to its
         // effective latency (wave override, else registered profile).
-        for (token, task) in wave.consumers.into_iter().enumerate() {
-            let profile = self.consumers.get(&task.id).copied().unwrap_or_default();
-            Self::deliver(
-                token,
-                task.latency.unwrap_or(profile.latency),
-                start,
-                deadline,
-                &mut ready,
-                &mut timers,
-            );
-            consumer_jobs.push(Some(task.job));
+        for (token, task) in wave.consumers.iter().enumerate() {
+            let latency = task.latency.unwrap_or_else(|| {
+                self.consumers
+                    .get(task.id)
+                    .map_or(Latency::Immediate, |profile| profile.latency)
+            });
+            Self::deliver(token, latency, start, deadline, ready, timers);
             consumer_replies.push((task.id, None));
         }
-        for (i, task) in wave.providers.into_iter().enumerate() {
-            let token = consumer_count + i;
-            let profile = self.providers.get(&task.id).copied().unwrap_or_default();
-            Self::deliver(
-                token,
-                task.latency.unwrap_or(profile.latency),
-                start,
-                deadline,
-                &mut ready,
-                &mut timers,
-            );
-            provider_jobs.push(Some(task.job));
+        for (i, task) in wave.providers.iter().enumerate() {
+            let latency = task.latency.unwrap_or_else(|| {
+                self.providers
+                    .get(task.id)
+                    .map_or(Latency::Immediate, |profile| profile.latency)
+            });
+            Self::deliver(consumer_count + i, latency, start, deadline, ready, timers);
             provider_replies.push((task.id, None));
         }
 
@@ -506,15 +671,13 @@ impl Reactor {
         loop {
             while let Some(token) = ready.pop_front() {
                 if token < consumer_count {
-                    let job = consumer_jobs[token].take().expect("job polled once");
+                    let job = wave.consumers[token].job.take().expect("job polled once");
                     consumer_replies[token].1 = Some(job());
                 } else {
-                    let job = provider_jobs[token - consumer_count]
-                        .take()
-                        .expect("job polled once");
-                    provider_replies[token - consumer_count].1 = Some(job());
+                    let i = token - consumer_count;
+                    let job = wave.providers[i].job.take().expect("job polled once");
+                    provider_replies[i].1 = Some(job());
                 }
-                pending[token] = false;
                 answered += 1;
             }
             if answered == total {
@@ -561,21 +724,14 @@ impl Reactor {
                     },
                 );
             }
-        }
-
-        // Lifetime bookkeeping on the registered profiles.
-        for (token, (id, reply)) in consumer_replies.iter().enumerate() {
-            if let Some(profile) = self.consumers.get_mut(id) {
-                profile.waves_served += 1;
-                if pending[token] && reply.is_none() {
+            // Lifetime timeout counts on the registered profiles.
+            for (id, _) in consumer_replies.iter().filter(|(_, r)| r.is_none()) {
+                if let Some(profile) = self.consumers.get_mut(*id) {
                     profile.timeouts += 1;
                 }
             }
-        }
-        for (i, (id, reply)) in provider_replies.iter().enumerate() {
-            if let Some(profile) = self.providers.get_mut(id) {
-                profile.waves_served += 1;
-                if pending[consumer_count + i] && reply.is_none() {
+            for (id, _) in provider_replies.iter().filter(|(_, r)| r.is_none()) {
+                if let Some(profile) = self.providers.get_mut(*id) {
                     profile.timeouts += 1;
                 }
             }
@@ -1303,9 +1459,115 @@ mod tests {
         assert_eq!(infos[1].provider_intention, 0.0);
     }
 
+    /// A wave of canned jobs: `(id, latency override)` per consumer and
+    /// per provider; every reply encodes its participant's id.
+    fn canned_wave(
+        consumers: &[(u32, Option<Latency>)],
+        providers: &[(u32, Option<Latency>)],
+    ) -> IntentionWave<impl FnOnce() -> ConsumerBatchAnswer, impl FnOnce() -> ProviderBatchAnswer>
+    {
+        let mut wave = IntentionWave::new();
+        for &(c, latency) in consumers {
+            wave.consumer(ConsumerId::new(c), latency, move || {
+                vec![(
+                    QueryId::new(c),
+                    vec![(ProviderId::new(c), f64::from(c) / 10.0)],
+                )]
+            });
+        }
+        for &(p, latency) in providers {
+            wave.provider(ProviderId::new(p), latency, move || {
+                vec![ProviderAnswer {
+                    query: QueryId::new(p),
+                    intention: f64::from(p) / 10.0,
+                    utilization: 0.5,
+                    bid: None,
+                }]
+            });
+        }
+        wave
+    }
+
+    #[test]
+    fn a_reused_reactor_matches_fresh_ones_wave_by_wave() {
+        // One reactor runs a deadline wave, an all-immediate wave, an
+        // empty wave, then a wave after a deregister + re-register. Its
+        // ready queue and timer heap are reused across all of them; every
+        // wave must match a fresh reactor with the same registrations.
+        type Step = (Vec<(u32, Option<Latency>)>, Vec<(u32, Option<Latency>)>);
+        let config = RuntimeConfig::default(); // 200 ms timeout
+        let mut profiles = vec![
+            Latency::Never,
+            Latency::After(Duration::from_millis(30)),
+            Latency::After(Duration::from_millis(300)),
+            Latency::Immediate,
+        ];
+        let register = |reactor: &mut Reactor, profiles: &[Latency]| {
+            reactor.register_consumer(ConsumerId::new(0), Latency::After(Duration::from_millis(5)));
+            reactor.register_consumer(ConsumerId::new(1), Latency::Immediate);
+            for (p, &latency) in profiles.iter().enumerate() {
+                reactor.register_provider(ProviderId::new(p as u32), latency);
+            }
+        };
+        let mut reused = Reactor::new(config);
+        register(&mut reused, &profiles);
+
+        let all = |latency: Option<Latency>| -> Vec<(u32, Option<Latency>)> {
+            (0..4).map(|p| (p, latency)).collect()
+        };
+        let steps: Vec<Step> = vec![
+            (vec![(0, None), (1, Some(Latency::Never))], all(None)),
+            (
+                vec![(0, Some(Latency::Immediate))],
+                all(Some(Latency::Immediate)),
+            ),
+            (Vec::new(), Vec::new()),
+            (vec![(1, None)], vec![(0, None), (2, None), (3, None)]),
+        ];
+        for (i, (consumers, providers)) in steps.iter().enumerate() {
+            if i == 3 {
+                reused.deregister_provider(ProviderId::new(0));
+                profiles[0] = Latency::After(Duration::from_millis(10));
+                reused.register_provider(ProviderId::new(0), profiles[0]);
+            }
+            let mut fresh = Reactor::new(config);
+            register(&mut fresh, &profiles);
+            let before: Vec<u64> = (0..4)
+                .map(|p| reused.provider_timeouts(ProviderId::new(p)))
+                .collect();
+
+            let got = reused.run_wave(canned_wave(consumers, providers));
+            let want = fresh.run_wave(canned_wave(consumers, providers));
+            assert_eq!(got.consumers, want.consumers, "step {i}");
+            assert_eq!(got.providers, want.providers, "step {i}");
+            let round = RoundStats {
+                wave: 1,
+                ..reused.last_round()
+            };
+            assert_eq!(round, fresh.last_round(), "step {i}");
+            for p in 0..4 {
+                let id = ProviderId::new(p);
+                let delta = reused.provider_timeouts(id) - before[p as usize];
+                let expected = fresh.provider_timeouts(id);
+                assert_eq!(delta, expected, "step {i}, provider {p}");
+                if i == 3 && p == 0 {
+                    assert_eq!(
+                        reused.provider_timeouts(id),
+                        expected,
+                        "re-registered: reset"
+                    );
+                }
+            }
+        }
+        assert_eq!(reused.waves(), 4);
+        // The deadline wave timed out providers 0 and 2 and consumer 1.
+        assert_eq!(reused.provider_timeouts(ProviderId::new(2)), 2);
+        assert_eq!(reused.provider_timeouts(ProviderId::new(1)), 0);
+    }
+
     #[test]
     fn wave_len_and_empty() {
-        let mut wave = IntentionWave::new();
+        let mut wave: IntentionWave<fn() -> ConsumerBatchAnswer, _> = IntentionWave::new();
         assert!(wave.is_empty());
         wave.provider(ProviderId::new(0), None, Vec::new);
         assert_eq!(wave.len(), 1);

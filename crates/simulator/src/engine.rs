@@ -98,6 +98,79 @@ fn candidate_set<'a>(
     }
 }
 
+/// Gathers one arrival's candidate information through one reactor wave
+/// into `infos`: a batched intention request to the issuing consumer
+/// (covering all candidates) and one request per candidate provider,
+/// with per-endpoint deadline tracking. Returns how many replies the
+/// scenario's faulted hosts degrade to indifference.
+///
+/// Out of line, so the inline backend's arm of the arrival path keeps
+/// its own code generation whatever the wave's jobs inline into.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn gather_by_reactor_wave(
+    reactor: &mut Reactor,
+    population: &mut Population,
+    reputation: &ReputationStore,
+    conditions: &WaveConditions,
+    query: &Query,
+    candidates: &[ProviderId],
+    uses_bids: bool,
+    now: SimTime,
+    infos: &mut Vec<CandidateInfo>,
+) -> u64 {
+    let mut fabricated = 0u64;
+    let consumer = query.consumer;
+    let consumer_agent = &population.consumers[consumer];
+    let mut wave = IntentionWave::new();
+    // Scenario faults ride in as per-wave latency overrides: an
+    // unresponsive host's endpoints miss the deadline (`Never`), a
+    // delayed host's lag by the configured amount — the wave machinery
+    // then fabricates the exact indifference the inline backend models
+    // directly.
+    let consumer_condition = conditions.consumer(consumer);
+    if matches!(consumer_condition, HostCondition::Unresponsive) {
+        fabricated += 1;
+    }
+    wave.consumer(consumer, consumer_condition.latency_override(), move || {
+        vec![(
+            query.id,
+            candidates
+                .iter()
+                .map(|&p| (p, consumer_agent.intention_for(query, p, reputation)))
+                .collect(),
+        )]
+    });
+    // The table hands out one disjoint `&mut` per candidate agent in
+    // O(candidates) — the wave never walks the rest of the population.
+    // With shard-major storage a shard's own candidates sit in one
+    // contiguous block.
+    for (p, agent) in population.providers.iter_mut_of(candidates) {
+        let condition = conditions.provider(p);
+        if matches!(condition, HostCondition::Unresponsive) {
+            fabricated += 1;
+        }
+        wave.provider(p, condition.latency_override(), move || {
+            let (intention, utilization) = agent.intention_and_utilization(query, now);
+            vec![ProviderAnswer {
+                query: query.id,
+                intention,
+                utilization,
+                bid: uses_bids.then(|| agent.bid_for(query, now)),
+            }]
+        });
+    }
+
+    let replies = reactor.run_wave(wave);
+
+    // Assemble the replies through the shared routine (indifference
+    // filled in for anything that missed the deadline), so the timeout
+    // semantics live in exactly one place.
+    infos.clear();
+    replies.append_candidate_infos(query, candidates, infos);
+    fabricated
+}
+
 /// Pre-resolved engine-level observability instruments (`sqlb-obs`).
 /// Resolved once at build time; when the run's [`Obs`] handle is
 /// disabled every handle is a no-op, so each hot-path site pays a
@@ -876,63 +949,17 @@ impl Simulator {
                 }
             }
             MediationDriver::Reactor(reactor) => {
-                // One wave: a batched intention request to the issuing
-                // consumer (covering all candidates) and one request per
-                // candidate provider, with per-endpoint deadline tracking.
-                let consumer_agent = &self.population.consumers[consumer];
-                let reputation = &self.reputation;
-                let query_ref = &query;
-                let mut wave = IntentionWave::new();
-                // Scenario faults ride in as per-wave latency overrides:
-                // an unresponsive host's endpoints miss the deadline
-                // (`Never`), a delayed host's lag by the configured
-                // amount — the wave machinery then fabricates the exact
-                // indifference the inline backend models directly.
-                let consumer_condition = conditions.consumer(consumer);
-                if matches!(consumer_condition, HostCondition::Unresponsive) {
-                    fabricated += 1;
-                }
-                wave.consumer(consumer, consumer_condition.latency_override(), move || {
-                    vec![(
-                        query_ref.id,
-                        candidates
-                            .iter()
-                            .map(|&p| (p, consumer_agent.intention_for(query_ref, p, reputation)))
-                            .collect(),
-                    )]
-                });
-                // The table hands out one disjoint `&mut` per candidate
-                // agent in O(candidates) — the wave never walks the rest
-                // of the population. With shard-major storage a shard's
-                // own candidates sit in one contiguous block.
-                for (p, agent) in self.population.providers.iter_mut_of(candidates) {
-                    let condition = conditions.provider(p);
-                    if matches!(condition, HostCondition::Unresponsive) {
-                        fabricated += 1;
-                    }
-                    wave.provider(p, condition.latency_override(), move || {
-                        let (intention, utilization) =
-                            agent.intention_and_utilization(query_ref, now);
-                        vec![ProviderAnswer {
-                            query: query_ref.id,
-                            intention,
-                            utilization,
-                            bid: uses_bids.then(|| agent.bid_for(query_ref, now)),
-                        }]
-                    });
-                }
-
-                let replies = reactor.run_wave(wave);
-
-                // Assemble the wave's replies through the shared helper
-                // (replies keyed by (query, provider), indifference filled
-                // in for anything that missed the deadline), so the
-                // timeout semantics live in exactly one place.
-                let requests = [(query.clone(), candidates.to_vec())];
-                let gathered = replies.into_candidate_infos(&requests);
-                let infos = &mut self.scratch.infos;
-                infos.clear();
-                infos.extend(gathered.into_iter().flatten());
+                fabricated += gather_by_reactor_wave(
+                    reactor,
+                    &mut self.population,
+                    &self.reputation,
+                    &conditions,
+                    &query,
+                    candidates,
+                    uses_bids,
+                    now,
+                    &mut self.scratch.infos,
+                );
             }
             MediationDriver::Socket(_) => {
                 unreachable!("socket arrivals are mediated by handle_socket_arrivals")

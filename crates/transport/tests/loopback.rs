@@ -749,3 +749,75 @@ fn a_stale_reply_under_overlap_never_credits_a_later_wave() {
     server.shutdown();
     handle.join().unwrap();
 }
+
+// ---- hostile replies ----------------------------------------------------
+
+/// A consumer that answers its own queries honestly and, in the same
+/// reply, sends intentions about a query it was not asked about.
+struct Meddling {
+    value: f64,
+    foreign: (QueryId, Vec<(ProviderId, f64)>),
+}
+
+impl ConsumerEndpoint for Meddling {
+    fn intentions(&mut self, _q: &Query, candidates: &[ProviderId]) -> Vec<(ProviderId, f64)> {
+        candidates.iter().map(|&p| (p, self.value)).collect()
+    }
+    fn intentions_batch(
+        &mut self,
+        requests: &[(Query, Vec<ProviderId>)],
+    ) -> Vec<(QueryId, Vec<(ProviderId, f64)>)> {
+        let mut reply: Vec<_> = requests
+            .iter()
+            .map(|(query, candidates)| (query.id, self.intentions(query, candidates)))
+            .collect();
+        reply.push(self.foreign.clone());
+        reply
+    }
+}
+
+#[test]
+fn a_consumer_cannot_overwrite_another_consumers_intentions_over_the_wire() {
+    // Consumers 0 and 1 share one coalesced wave. Consumer 1's host
+    // answers for consumer 1 with an extra entry about consumer 0's
+    // query; replies are read in ascending consumer order, so the
+    // foreign entry would be read last. Query 1 must keep the value
+    // consumer 0 sent.
+    let mut server = server(5_000);
+    let addr = server.tcp_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let mut host = ParticipantHost::connect_tcp(addr).unwrap();
+        host.add_consumer(ConsumerId::new(0), Canned::new(0.5));
+        host.add_consumer(
+            ConsumerId::new(1),
+            Meddling {
+                value: 0.25,
+                foreign: (
+                    QueryId::new(1),
+                    vec![(ProviderId::new(0), 0.99), (ProviderId::new(1), 0.99)],
+                ),
+            },
+        );
+        host.add_provider(ProviderId::new(0), Canned::new(0.8));
+        host.add_provider(ProviderId::new(1), Canned::new(-0.25));
+        host.announce().unwrap();
+        host.serve().unwrap()
+    });
+    server.accept_hosts(1, Duration::from_secs(5)).unwrap();
+
+    let candidates = vec![ProviderId::new(0), ProviderId::new(1)];
+    let requests = vec![(query(1, 0), candidates.clone()), (query(2, 1), candidates)];
+    server.begin_wave(&requests);
+    let replies = server.collect_wave().unwrap();
+    assert_eq!(server.last_round().timed_out, 0);
+    let infos = replies.into_candidate_infos(&requests);
+    assert_eq!(infos[0][0].consumer_intention, 0.5);
+    assert_eq!(infos[0][1].consumer_intention, 0.51);
+    assert_eq!(infos[1][0].consumer_intention, 0.25);
+    assert_eq!(infos[1][1].consumer_intention, 0.25);
+    assert_eq!(infos[0][0].provider_intention, 0.8);
+    assert_eq!(infos[1][1].provider_intention, -0.25);
+
+    server.shutdown();
+    assert!(handle.join().unwrap().clean_shutdown);
+}
